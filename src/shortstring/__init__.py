@@ -1,10 +1,11 @@
 """Shortest-string decoding of acyclic weighted lattices.
 
 Finds the label sequence whose merged weight over all of its paths is the
-best one in the semiring order, which over non-idempotent semirings (log,
-real) is not in general the label sequence of the best single path. The
-decoder determinizes the lattice lazily and runs a best-first search whose
-heuristic is the source lattice's own backward distance.
+best one, which over the log semiring (or over probabilities, which are
+decoded as ``-ln p``) is not in general the label sequence of the best
+single path. The decoder determinizes the lattice lazily and runs a
+best-first search whose heuristic is the source lattice's own backward
+distance.
 """
 
 from .automaton import (Arc, Automaton, SymbolTable, ValidationReport,
@@ -13,14 +14,14 @@ from .determinize import DfaCache, dump_text, materialize
 from .distance import (DistanceTable, backward_distance, forward_distance,
                        total_distance)
 from .errors import (BudgetExceededError, CycleError, EmptyLanguageError,
-                     ParseError, SemiringDomainError)
+                     ParseError)
 from .latgen import (BenchRow, LatticeSpec, bench_csv, bench_run, generate,
                      loglog_slope, measure_instance)
 from .oracle import enumerate_strings, oracle_shortest_path, oracle_shortest_string
 from .search import (AuditReport, SearchResult, Stats, heuristic_audit,
                      shortest_string, shortest_string_via_full_determinization)
-from .semiring import (LOG, REAL, LogSemiring, RealSemiring, Semiring,
-                       approx_eq, format_weight, get_semiring)
+from .semiring import (LOG, REAL, Encoding, approx_eq, format_weight,
+                       get_semiring, log_sum)
 
 __version__ = "0.1.0"
 
@@ -30,12 +31,11 @@ __all__ = [
     "DfaCache", "dump_text", "materialize",
     "DistanceTable", "backward_distance", "forward_distance", "total_distance",
     "BudgetExceededError", "CycleError", "EmptyLanguageError", "ParseError",
-    "SemiringDomainError",
     "BenchRow", "LatticeSpec", "bench_csv", "bench_run", "generate",
     "loglog_slope", "measure_instance",
     "enumerate_strings", "oracle_shortest_path", "oracle_shortest_string",
     "AuditReport", "SearchResult", "Stats", "heuristic_audit",
     "shortest_string", "shortest_string_via_full_determinization",
-    "LOG", "REAL", "LogSemiring", "RealSemiring", "Semiring", "approx_eq",
-    "format_weight", "get_semiring",
+    "LOG", "REAL", "Encoding", "approx_eq", "format_weight", "get_semiring",
+    "log_sum",
 ]

@@ -1,15 +1,20 @@
 """Acyclic weighted acceptors: data model, validation, and text I/O.
 
-An :class:`Automaton` is a single-initial-state, epsilon-free acceptor over
-one of the semirings in :mod:`.semiring`. States are dense non-negative
-integers; label 0 is reserved for epsilon and never appears on a stored
-arc. Arcs are grouped by source state and sorted by (label, target,
-weight) so that subset expansion and weight summation are deterministic.
+An :class:`Automaton` is a single-initial-state, epsilon-free acceptor whose
+weights are ``-ln`` weights of the log semiring (see :mod:`.semiring`),
+tagged with the encoding they are read and written in. States are dense
+non-negative integers; label 0 is reserved for epsilon and never appears
+on a stored arc. Arcs are grouped by source state and sorted by (label,
+target, weight) so that subset expansion and weight summation are
+deterministic.
 
 The text format is the usual one-record-per-line acceptor format:
 
     src dst label [weight]     # arc; missing weight means semiring one
     state [weight]             # final state; missing weight means one
+
+Weights are written in the file's encoding: ``-ln p`` for ``log``,
+probabilities for ``real``.
 
 The initial state is the source field of the first record. Blank lines
 and lines starting with ``#`` are ignored. Labels are integers unless a
@@ -25,7 +30,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import CycleError, ParseError
-from .semiring import Semiring
+from .semiring import LOG, ONE, ZERO, Encoding
 
 
 class Arc(NamedTuple):
@@ -38,12 +43,15 @@ class Automaton:
     """Immutable weighted acceptor.
 
     ``arcs`` is an iterable of ``(source, label, weight, target)`` tuples and
-    ``finals`` maps state to final weight. Arcs and final entries whose
-    weight equals the semiring zero denote absence and are silently dropped;
-    the drop counts are kept in ``pruned_arcs`` / ``pruned_finals``.
+    ``finals`` maps state to final weight. Weights are ``-ln`` weights
+    whatever the ``encoding``, which only says how the automaton's weights
+    are written and shown; build from probabilities with ``REAL.to_log``
+    or :func:`read_text`. Arcs and final entries whose weight equals the
+    semiring zero (``+inf``) denote absence and are silently dropped; the
+    drop counts are kept in ``pruned_arcs`` / ``pruned_finals``.
     """
 
-    def __init__(self, semiring: Semiring, num_states: int, initial: int,
+    def __init__(self, encoding: Encoding, num_states: int, initial: int,
                  arcs: Iterable[tuple], finals: dict):
         if num_states < 1:
             raise ValueError("an automaton needs at least one state")
@@ -55,7 +63,7 @@ class Automaton:
             if not 0 <= source < num_states:
                 raise ValueError(f"arc source {source} out of range")
             weight = float(weight)
-            if weight == semiring.zero:
+            if weight == ZERO:
                 pruned_arcs += 1
                 continue
             per_state[source].append(Arc(int(label), weight, int(target)))
@@ -65,11 +73,11 @@ class Automaton:
         pruned_finals = 0
         for state, weight in sorted(finals.items()):
             weight = float(weight)
-            if weight == semiring.zero:
+            if weight == ZERO:
                 pruned_finals += 1
                 continue
             kept[int(state)] = weight
-        self.semiring = semiring
+        self.encoding = encoding
         self.num_states = num_states
         self.initial = initial
         self.pruned_arcs = pruned_arcs
@@ -93,13 +101,13 @@ class Automaton:
         return sum(len(lst) for lst in self._arcs)
 
     def final_weight(self, state: int) -> float:
-        return self._finals.get(state, self.semiring.zero)
+        return self._finals.get(state, ZERO)
 
     def is_final(self, state: int) -> bool:
         return state in self._finals
 
     def __repr__(self):
-        return (f"Automaton({self.semiring.name}, states={self.num_states}, "
+        return (f"Automaton({self.encoding.name}, states={self.num_states}, "
                 f"arcs={self.num_arcs()}, finals={len(self._finals)})")
 
 
@@ -121,10 +129,10 @@ def validate(a: Automaton) -> ValidationReport:
     """Check the full acceptor contract; reports every violation found.
 
     A valid automaton is acyclic and epsilon-free, every weight is a member
-    of its semiring, and every referenced state is in range.
+    of the log semiring (neither NaN nor ``-inf``), and every referenced
+    state is in range.
     """
     violations = []
-    sr = a.semiring
     targets_ok = True
     for source, label, weight, target in a.all_arcs():
         if label == 0:
@@ -134,15 +142,15 @@ def validate(a: Automaton) -> ValidationReport:
         if not 0 <= target < a.num_states:
             violations.append(f"arc target {target} out of range on arc from {source}")
             targets_ok = False
-        if not sr.is_member(weight):
+        if not LOG.is_member(weight):
             violations.append(f"arc weight {weight!r} on {source}->{target} is not "
-                              f"a member of the {sr.name} semiring")
+                              f"a member of the log semiring")
     for state, weight in a.finals.items():
         if not 0 <= state < a.num_states:
             violations.append(f"final state {state} out of range")
-        if not sr.is_member(weight):
+        if not LOG.is_member(weight):
             violations.append(f"final weight {weight!r} of state {state} is not "
-                              f"a member of the {sr.name} semiring")
+                              f"a member of the log semiring")
     if targets_ok:
         try:
             topological_order(a)
@@ -273,21 +281,22 @@ def _parse_int(field: str, what: str, lineno: int) -> int:
     return value
 
 
-def _parse_weight(field: str, semiring: Semiring, lineno: int) -> float:
+def _parse_weight(field: str, encoding: Encoding, lineno: int) -> float:
     try:
         weight = float(field)
     except ValueError:
         raise ParseError(f"bad weight {field!r}", lineno) from None
-    if not semiring.is_member(weight):
+    if not encoding.is_member(weight):
         raise ParseError(f"weight {field!r} is not a member of the "
-                         f"{semiring.name} semiring", lineno)
-    return weight
+                         f"{encoding.name} semiring", lineno)
+    return encoding.to_log(weight)
 
 
-def read_text(text: str, semiring: Semiring,
+def read_text(text: str, encoding: Encoding,
               symbols: Optional[SymbolTable] = None) -> Automaton:
     """Parse the acceptor text format into an :class:`Automaton`.
 
+    Weights are checked against ``encoding`` and stored as ``-ln`` weights.
     The source state of the first record becomes the initial state. Labels
     are looked up in ``symbols`` when given, else parsed as integers; label
     0 is rejected. Omitted weights default to the semiring one.
@@ -303,8 +312,8 @@ def read_text(text: str, semiring: Semiring,
         fields = line.split()
         if len(fields) in (1, 2):
             state = _parse_int(fields[0], "state", lineno)
-            weight = (_parse_weight(fields[1], semiring, lineno)
-                      if len(fields) == 2 else semiring.one)
+            weight = (_parse_weight(fields[1], encoding, lineno)
+                      if len(fields) == 2 else ONE)
             if state in finals:
                 raise ParseError(f"duplicate final weight for state {state}", lineno)
             finals[state] = weight
@@ -323,8 +332,8 @@ def read_text(text: str, semiring: Semiring,
                 label = _parse_int(fields[2], "label", lineno)
             if label == 0:
                 raise ParseError("label 0 is reserved for epsilon", lineno)
-            weight = (_parse_weight(fields[3], semiring, lineno)
-                      if len(fields) == 4 else semiring.one)
+            weight = (_parse_weight(fields[3], encoding, lineno)
+                      if len(fields) == 4 else ONE)
             arcs.append((src, label, weight, dst))
             max_state = max(max_state, src, dst)
             if initial is None:
@@ -333,26 +342,29 @@ def read_text(text: str, semiring: Semiring,
             raise ParseError(f"expected 1-4 fields, got {len(fields)}", lineno)
     if initial is None:
         raise ParseError("no records found")
-    return Automaton(semiring, max_state + 1, initial, arcs, finals)
+    return Automaton(encoding, max_state + 1, initial, arcs, finals)
 
 
 def write_text(a: Automaton, symbols: Optional[SymbolTable] = None) -> str:
     """Serialize to the acceptor text format; inverse of :func:`read_text`.
 
     The initial state's block comes first so it is re-read as initial.
-    Weights are written with full round-trip precision. States that carry
+    Weights are written in the automaton's encoding with full round-trip
+    precision (``log`` weights are re-read bit for bit; ``real`` ones go
+    through ``exp`` and ``ln`` and may move by an ulp). States that carry
     no arc, no final weight, and no incoming arc are not representable in
     the format and are dropped on a round trip.
     """
     if not a.arcs(a.initial) and not a.is_final(a.initial):
         raise ValueError("initial state has no arcs and no final weight; "
                          "the text format cannot represent it")
+    from_log = a.encoding.from_log
     lines = []
     order = [a.initial] + [q for q in range(a.num_states) if q != a.initial]
     for q in order:
         for label, weight, target in a.arcs(q):
             token = symbols.token(label) if symbols is not None else str(label)
-            lines.append(f"{q} {target} {token} {weight!r}")
+            lines.append(f"{q} {target} {token} {from_log(weight)!r}")
         if a.is_final(q):
-            lines.append(f"{q} {a.final_weight(q)!r}")
+            lines.append(f"{q} {from_log(a.final_weight(q))!r}")
     return "\n".join(lines) + "\n"

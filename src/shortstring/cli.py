@@ -2,6 +2,10 @@
 
 Exit codes for ``decode``: 0 success, 1 oracle mismatch, 2 empty
 language, 3 invalid input, 4 budget exceeded.
+
+``--semiring`` names the encoding of the lattice's weights (``log``:
+``-ln p``; ``real``: probabilities). Decoding always runs in ``-ln``
+weights; printed weights are converted back to the encoding.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
     decode = sub.add_parser("decode", help="decode a lattice file")
     decode.add_argument("input", help="lattice file in the text acceptor format")
     decode.add_argument("--symbols", help="symbol table file (token id lines)")
-    decode.add_argument("--semiring", choices=("log", "real"), default="log")
+    decode.add_argument("--semiring", choices=("log", "real"), default="log",
+                        help="encoding of the weights: log (-ln p, the "
+                             "default) or real (probabilities)")
     decode.add_argument("--oracle", action="store_true",
                         help="cross-check against brute-force enumeration")
     decode.add_argument("--stats", action="store_true",
@@ -47,7 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     decode.add_argument("--budget", type=int, default=1_000_000,
                         help="state and path budget (default 1000000)")
     decode.add_argument("--delta-det", type=float, default=1e-6,
-                        help="residual merge tolerance (default 1e-6)")
+                        help="residual merge tolerance in -ln units, i.e. "
+                             "relative on probabilities, for either "
+                             "encoding (default 1e-6)")
     decode.add_argument("--tolerance", type=float, default=1e-6,
                         help="oracle weight comparison tolerance (default 1e-6)")
     decode.add_argument("--print-distances", action="store_true",
@@ -88,11 +96,12 @@ def _render(labels, symbols) -> str:
     return " ".join(tokens)
 
 
-def _trace_writer(symbols):
+def _trace_writer(symbols, from_log):
     def on_pop(handle, gscore, heuristic, fscore, labels):
         name = "goal" if handle is None else str(handle)
-        sys.stderr.write(f"pop\t{name}\t{gscore:.6f}\t{heuristic:.6f}\t"
-                         f"{fscore:.6f}\t{_render(labels, symbols)}\n")
+        sys.stderr.write(f"pop\t{name}\t{from_log(gscore):.6f}\t"
+                         f"{from_log(heuristic):.6f}\t{from_log(fscore):.6f}\t"
+                         f"{_render(labels, symbols)}\n")
     return on_pop
 
 
@@ -114,9 +123,9 @@ def _cmd_decode(args) -> int:
     if args.budget < 1:
         print("error: budget must be positive", file=sys.stderr)
         return EXIT_INVALID
-    semiring = get_semiring(args.semiring)
+    encoding = get_semiring(args.semiring)
     try:
-        automaton = read_text(text, semiring, symbols)
+        automaton = read_text(text, encoding, symbols)
     except ParseError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -128,9 +137,10 @@ def _cmd_decode(args) -> int:
         alpha = forward_distance(automaton)
         beta = backward_distance(automaton)
         for q in range(automaton.num_states):
-            sys.stderr.write(f"distance\t{q}\t{format_weight(alpha[q])}\t"
-                             f"{format_weight(beta[q])}\n")
-    on_pop = _trace_writer(symbols) if args.trace else None
+            sys.stderr.write(
+                f"distance\t{q}\t{format_weight(encoding.from_log(alpha[q]))}"
+                f"\t{format_weight(encoding.from_log(beta[q]))}\n")
+    on_pop = _trace_writer(symbols, encoding.from_log) if args.trace else None
     search = (shortest_string_via_full_determinization if args.full
               else shortest_string)
     cache = DfaCache(automaton, args.delta_det, args.budget)

@@ -7,10 +7,14 @@ on the same target, factors the total mass of the label onto the single
 output arc (the common-divisor convention), and keeps the per-target
 leftovers as the residuals of the successor subset. Residuals are thereby
 normalized: their semiring sum is one at creation, which bounds float
-drift and lets equivalent futures collide in the cache.
+drift and lets equivalent futures collide in the cache. All weights are
+``-ln`` weights (see :mod:`.semiring`): the sums are log-sum-exps shifted
+by the best term, products are ``+``, and a residual is the log ratio of
+its target's mass to the label's total.
 
 Subsets are interned: equal state sets whose residuals land in the same
-``residual_tolerance`` cell share one handle, and expansion is memoized
+``residual_tolerance`` cell share one handle (cells are in ``-ln`` units,
+so the tolerance is relative on probabilities), and expansion is memoized
 per handle, so repeated exploration never recomputes work. Cell sharing
 implies the residuals agree within the tolerance; two residuals within
 tolerance of each other but straddling a cell boundary stay distinct,
@@ -20,11 +24,12 @@ integers in creation order, which makes runs reproducible.
 
 from __future__ import annotations
 
-import math
+from math import exp, log, log1p
 
 from .automaton import Automaton, write_text
 from .distance import DistanceTable
 from .errors import BudgetExceededError
+from .semiring import INF, ONE, ZERO, log_sum
 
 
 class DfaCache:
@@ -40,7 +45,6 @@ class DfaCache:
         if state_budget is not None and state_budget < 1:
             raise ValueError("state budget must be positive")
         self.automaton = automaton
-        self.semiring = automaton.semiring
         self.residual_tolerance = residual_tolerance
         self.state_budget = state_budget
         self._subsets = []      # handle -> tuple[(state, residual), ...]
@@ -48,7 +52,7 @@ class DfaCache:
         self._arcs = {}         # handle -> tuple[(label, weight, target handle), ...]
         self._finals = {}       # handle -> final weight
         self._heuristics = {}   # handle -> heuristic weight
-        self._intern(((automaton.initial, self.semiring.one),))
+        self._intern(((automaton.initial, ONE),))
 
     def start(self) -> int:
         """Handle of the root subset {(initial, one)}; always 0."""
@@ -70,34 +74,34 @@ class DfaCache:
         memo = self._arcs.get(handle)
         if memo is not None:
             return memo
-        sr = self.semiring
-        times, plus, divide = sr._times, sr._plus, sr._divide
         arcs_of = self.automaton.arcs
-        per_label: dict = {}
+        per_label: dict = {}   # label -> {target: merged mass}
         for state, residual in self._subsets[handle]:
             for label, weight, target in arcs_of(state):
-                mass = times(residual, weight)
+                mass = residual + weight
                 bucket = per_label.get(label)
                 if bucket is None:
-                    bucket = per_label[label] = {}
-                if target in bucket:
-                    bucket[target] = plus(bucket[target], mass)
+                    per_label[label] = {target: mass}
+                elif target in bucket:
+                    other = bucket[target]
+                    if mass < other:
+                        bucket[target] = mass - log1p(exp(mass - other))
+                    else:
+                        bucket[target] = other - log1p(exp(other - mass))
                 else:
                     bucket[target] = mass
         out = []
         for label in sorted(per_label):
             bucket = per_label[label]
-            targets = sorted(bucket)
-            divisor = bucket[targets[0]]
-            for target in targets[1:]:
-                divisor = plus(divisor, bucket[target])
-            if divisor == sr.zero:
-                # unreachable for zero-sum-free carriers; a real occurrence
-                # would corrupt residuals, so fail loudly
-                raise RuntimeError(f"subset expansion produced a zero divisor "
-                                   f"on label {label}")
-            pairs = tuple((target, divide(bucket[target], divisor))
-                          for target in targets)
+            if len(bucket) == 1:
+                ((target, divisor),) = bucket.items()
+                pairs = ((target, ONE),)
+            else:
+                masses = bucket.values()
+                best = min(masses)
+                divisor = best - log(sum([exp(best - mass) for mass in masses]))
+                pairs = tuple((target, bucket[target] - divisor)
+                              for target in sorted(bucket))
             out.append((label, divisor, self._intern(pairs)))
         result = tuple(out)
         self._arcs[handle] = result
@@ -109,10 +113,10 @@ class DfaCache:
         memo = self._finals.get(handle)
         if memo is not None:
             return memo
-        sr = self.semiring
-        acc = sr.zero
-        for state, residual in self._subsets[handle]:
-            acc = sr._plus(acc, sr._times(residual, self.automaton.final_weight(state)))
+        finals = self.automaton.finals
+        acc = log_sum([residual + finals[state]
+                       for state, residual in self._subsets[handle]
+                       if state in finals])
         self._finals[handle] = acc
         return acc
 
@@ -126,10 +130,18 @@ class DfaCache:
         memo = self._heuristics.get(handle)
         if memo is not None:
             return memo
-        sr = self.semiring
-        acc = sr.zero
-        for state, residual in self._subsets[handle]:
-            acc = sr._plus(acc, sr._times(residual, backward[state]))
+        beta = backward.values
+        subset = self._subsets[handle]
+        if len(subset) == 1:
+            state, residual = subset[0]
+            acc = residual + beta[state]
+        else:
+            costs = [residual + beta[state] for state, residual in subset]
+            best = min(costs)
+            if best < INF:
+                acc = best - log(sum([exp(best - cost) for cost in costs]))
+            else:
+                acc = best
         self._heuristics[handle] = acc
         return acc
 
@@ -147,10 +159,10 @@ class DfaCache:
         tol = self.residual_tolerance
         if tol <= 0.0:
             return pairs
-        # residuals in the same cell differ by less than the tolerance
+        # residuals in the same cell differ by less than the tolerance;
+        # they are finite, as arc weights of a valid automaton are
         return tuple((state,
-                      residual if math.isinf(residual)
-                      else int(residual / tol + (0.5 if residual >= 0 else -0.5)))
+                      int(residual / tol + (0.5 if residual >= 0 else -0.5)))
                      for state, residual in pairs)
 
     def _intern(self, pairs: tuple) -> int:
@@ -180,9 +192,10 @@ def materialize(cache: DfaCache) -> Automaton:
     finals = {}
     for handle in range(cache.num_states):
         weight = cache.final_weight(handle)
-        if weight != cache.semiring.zero:
+        if weight != ZERO:
             finals[handle] = weight
-    return Automaton(cache.semiring, cache.num_states, cache.start(), arcs, finals)
+    return Automaton(cache.automaton.encoding, cache.num_states, cache.start(),
+                     arcs, finals)
 
 
 def dump_text(cache: DfaCache, symbols=None) -> str:

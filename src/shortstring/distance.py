@@ -1,11 +1,14 @@
 """Forward and backward shortest-distance tables over acyclic acceptors.
 
 Both tables are computed in a single relaxation pass along the topological
-order. The ``view`` argument selects the aggregation: ``"base"`` uses the
-semiring's own plus and merges all paths, while ``"companion"`` keeps only
-the best path weight under the semiring order (the tropical / max-times
-view of the same automaton). Summation order is fixed by the topological
-order and the stored arc order, so results are bit-reproducible.
+order, over the package's one weight algebra (``-ln`` weights, see
+:mod:`.semiring`); the tables hold ``-ln`` weights whatever the
+automaton's encoding. The ``view`` argument selects the aggregation:
+``"base"`` takes the log-sum-exp and merges all paths, while
+``"companion"`` takes the ``min`` and keeps only the best path weight (the
+tropical view of the same automaton). Summation order is fixed by the
+topological order and the stored arc order, so results are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automaton import Automaton, topological_order
+from .semiring import INF, ONE, ZERO, log_sum
 
 VIEWS = ("base", "companion")
 
@@ -33,28 +37,29 @@ class DistanceTable:
         return iter(self.values)
 
 
-def _adder(a: Automaton, view: str):
-    # the unchecked operations; a valid automaton's weights are members and
-    # both algebras are closed
+def _best(weights) -> float:
+    return min(weights, default=INF)
+
+
+def _aggregate(view: str):
     if view == "base":
-        return a.semiring._plus
+        return log_sum
     if view == "companion":
-        return a.semiring._companion_plus
+        return _best
     raise ValueError(f"unknown view {view!r}; expected one of {VIEWS}")
 
 
 def backward_distance(a: Automaton, view: str = "base") -> DistanceTable:
     """Per-state aggregated weight of all suffix paths into a final state,
     final weight included. States that reach no final state hold zero."""
-    add = _adder(a, view)
-    times = a.semiring._times
-    order = topological_order(a)
-    beta = [a.semiring.zero] * a.num_states
-    for q in reversed(order):
-        acc = a.final_weight(q)
-        for _, weight, target in a.arcs(q):
-            acc = add(acc, times(weight, beta[target]))
-        beta[q] = acc
+    aggregate = _aggregate(view)
+    finals = a.finals
+    beta = [ZERO] * a.num_states
+    for q in reversed(topological_order(a)):
+        costs = [weight + beta[target] for _, weight, target in a.arcs(q)]
+        if q in finals:
+            costs.append(finals[q])
+        beta[q] = aggregate(costs)
     return DistanceTable("backward", view, tuple(beta))
 
 
@@ -62,21 +67,20 @@ def forward_distance(a: Automaton, view: str = "base") -> DistanceTable:
     """Per-state aggregated weight of all paths from the initial state.
     The initial state holds one (the empty path); unreachable states hold
     zero."""
-    add = _adder(a, view)
-    times = a.semiring._times
-    zero = a.semiring.zero
-    order = topological_order(a)
-    alpha = [zero] * a.num_states
-    alpha[a.initial] = a.semiring.one
-    for q in order:
-        mass = alpha[q]
-        if mass == zero:
-            continue  # nothing to propagate; keeps sums exact
+    aggregate = _aggregate(view)
+    incoming = [[] for _ in range(a.num_states)]   # per state: path weights
+    incoming[a.initial].append(ONE)
+    alpha = [ZERO] * a.num_states
+    for q in topological_order(a):
+        mass = alpha[q] = aggregate(incoming[q])
+        if mass == ZERO:
+            continue  # nothing to propagate
         for _, weight, target in a.arcs(q):
-            alpha[target] = add(alpha[target], times(mass, weight))
+            incoming[target].append(mass + weight)
     return DistanceTable("forward", view, tuple(alpha))
 
 
 def total_distance(a: Automaton) -> float:
-    """Aggregated weight of every complete path; zero for an empty language."""
+    """Aggregated ``-ln`` weight of every complete path; zero (``+inf``)
+    for an empty language."""
     return backward_distance(a, "base")[a.initial]

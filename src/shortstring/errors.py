@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class SemiringDomainError(ValueError):
-    """A float is not a member of the active semiring's carrier."""
-
-
 class CycleError(ValueError):
     """The automaton is cyclic; the message names one offending arc."""
 

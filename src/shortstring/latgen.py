@@ -19,7 +19,7 @@ from .automaton import Automaton
 from .determinize import DfaCache
 from .errors import BudgetExceededError, EmptyLanguageError
 from .search import shortest_string
-from .semiring import LOG
+from .semiring import LOG, ONE
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def generate(spec: LatticeSpec) -> Automaton:
             for slot in range(width):
                 arcs.append((source, slot_labels[slot],
                              -math.log(masses[slot] / total), targets[slot]))
-    finals = {q: LOG.one for q in range(num_states - width, num_states)}
+    finals = {q: ONE for q in range(num_states - width, num_states)}
     return Automaton(LOG, num_states, 0, arcs, finals)
 
 

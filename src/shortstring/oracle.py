@@ -4,47 +4,50 @@ Desk-scale only: every complete path is walked, so the path budget guards
 against exponential blowups. Deliberately independent of the search
 stack; only the weight algebra and the automaton model are shared, which
 makes these functions usable as an oracle for differential tests of the
-determinizing search.
+determinizing search. Paths are scored in ``-ln`` weights; the returned
+weights are converted to the automaton's encoding.
 """
 
 from __future__ import annotations
 
 from .automaton import Automaton, topological_order
 from .errors import BudgetExceededError, EmptyLanguageError
+from .semiring import ONE, ZERO, log_sum
 
 DEFAULT_PATH_BUDGET = 1_000_000
+
+
+def _string_weights(a: Automaton, path_budget: int) -> dict:
+    """Every accepted label sequence and its merged ``-ln`` weight."""
+    topological_order(a)  # refuse cyclic input instead of walking forever
+    paths = {}   # label sequence -> weights of its complete paths
+    count = 0
+    # explicit-stack depth-first walk; arc-order traversal keeps the
+    # aggregation order, and therefore the floats, reproducible
+    stack = [(a.initial, (), ONE)]
+    while stack:
+        state, labels, weight = stack.pop()
+        final = a.final_weight(state)
+        if final != ZERO:
+            count += 1
+            if count > path_budget:
+                raise BudgetExceededError(f"path budget {path_budget} exceeded")
+            paths.setdefault(labels, []).append(weight + final)
+        for label, arc_weight, target in reversed(a.arcs(state)):
+            stack.append((target, labels + (label,), weight + arc_weight))
+    return {labels: log_sum(weights) for labels, weights in paths.items()}
 
 
 def enumerate_strings(a: Automaton, *,
                       path_budget: int = DEFAULT_PATH_BUDGET) -> dict:
     """Map every accepted label sequence to its merged weight: the semiring
     sum, over all complete paths spelling the sequence, of the path weight
-    times the final weight. The empty sequence appears when the initial
-    state is final. Aggregation follows depth-first arc order, so results
-    are reproducible."""
-    topological_order(a)  # refuse cyclic input instead of walking forever
-    sr = a.semiring
-    zero, plus, times = sr.zero, sr._plus, sr._times
-    sigma = {}
-    paths = 0
-    # explicit-stack depth-first walk; arc-order traversal keeps the
-    # aggregation order, and therefore the floats, reproducible
-    stack = [(a.initial, (), sr.one)]
-    while stack:
-        state, labels, weight = stack.pop()
-        final = a.final_weight(state)
-        if final != zero:
-            paths += 1
-            if paths > path_budget:
-                raise BudgetExceededError(f"path budget {path_budget} exceeded")
-            mass = times(weight, final)
-            if labels in sigma:
-                sigma[labels] = plus(sigma[labels], mass)
-            else:
-                sigma[labels] = mass
-        for label, arc_weight, target in reversed(a.arcs(state)):
-            stack.append((target, labels + (label,), times(weight, arc_weight)))
-    return sigma
+    times the final weight, in the automaton's encoding. The empty sequence
+    appears when the initial state is final. Aggregation follows
+    depth-first arc order, so results are reproducible."""
+    from_log = a.encoding.from_log
+    return {labels: from_log(weight)
+            for labels, weight in _string_weights(a, path_budget).items()}
 
 
 def oracle_shortest_string(a: Automaton, *,
@@ -52,12 +55,11 @@ def oracle_shortest_string(a: Automaton, *,
     """Best (label sequence, merged weight) under the semiring order; ties
     break by shorter sequence, then lexicographically smaller sequence,
     matching the search's tie-break rule."""
-    sigma = enumerate_strings(a, path_budget=path_budget)
+    sigma = _string_weights(a, path_budget)
     if not sigma:
         raise EmptyLanguageError("the automaton accepts no string")
-    pk = a.semiring.priority_key
-    labels = min(sigma, key=lambda z: (pk(sigma[z]), len(z), z))
-    return labels, sigma[labels]
+    labels = min(sigma, key=lambda z: (sigma[z], len(z), z))
+    return labels, a.encoding.from_log(sigma[labels])
 
 
 def oracle_shortest_path(a: Automaton, *,
@@ -67,24 +69,21 @@ def oracle_shortest_path(a: Automaton, *,
     differ from :func:`oracle_shortest_string`, since merging several paths
     that share a string beats each one alone."""
     topological_order(a)  # refuse cyclic input instead of walking forever
-    sr = a.semiring
-    zero, times, pk = sr.zero, sr._times, sr.priority_key
     best = None
     paths = 0
-    stack = [(a.initial, (), sr.one)]
+    stack = [(a.initial, (), ONE)]
     while stack:
         state, labels, weight = stack.pop()
         final = a.final_weight(state)
-        if final != zero:
+        if final != ZERO:
             paths += 1
             if paths > path_budget:
                 raise BudgetExceededError(f"path budget {path_budget} exceeded")
-            mass = times(weight, final)
-            key = (pk(mass), len(labels), labels)
-            if best is None or key < best[0]:
-                best = (key, labels, mass)
+            key = (weight + final, len(labels), labels)
+            if best is None or key < best:
+                best = key
         for label, arc_weight, target in reversed(a.arcs(state)):
-            stack.append((target, labels + (label,), times(weight, arc_weight)))
+            stack.append((target, labels + (label,), weight + arc_weight))
     if best is None:
         raise EmptyLanguageError("the automaton accepts no string")
-    return best[1], best[2]
+    return best[2], a.encoding.from_log(best[0])

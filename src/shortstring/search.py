@@ -1,12 +1,13 @@
 """Best-string decoding: A* over the lazily determinized acceptor.
 
-Over a non-idempotent semiring the best *path* and the best *string* can
-disagree, because several paths may share one string and their merged
-weight beats every single path. Determinizing fixes this: in a
-deterministic machine each string has exactly one path, whose weight is
-the string's merged weight. The search therefore runs over determinized
-subsets, scored with the companion view (best-first under the semiring
-order), and uses each subset's merged remaining mass as the heuristic.
+Over the log semiring (and so over probabilities) the best *path* and
+the best *string* can disagree, because several paths may share one
+string and their merged weight beats every single path. Determinizing
+fixes this: in a deterministic machine each string has exactly one path,
+whose weight is the string's merged weight. The search therefore runs
+over determinized subsets, best-first on ``-ln`` weights (path weights
+add, and smaller is better: the companion view ``min``), and uses each
+subset's merged remaining mass as the heuristic.
 That heuristic never overestimates the best completion and never
 overestimates any single step, so the first goal popped is the best
 string and every subset is settled at most once.
@@ -17,6 +18,9 @@ popping the subset itself proves nothing; popping its super-final entry
 does. Priority ties break by shorter string, then lexicographically
 smaller label sequence, then insertion order, making results
 reproducible and giving the brute-force oracle an exact contract.
+
+The search works in ``-ln`` weights whatever the automaton's encoding;
+only :attr:`SearchResult.weight` is converted back to it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,13 @@ from .automaton import Automaton
 from .determinize import DfaCache, materialize
 from .distance import backward_distance
 from .errors import EmptyLanguageError
-from .semiring import format_weight
+from .semiring import ONE, ZERO, format_weight
+
+# A popped priority may fall below an earlier one by this fraction of the
+# earlier one's magnitude (at least 1) before it counts as a violation of
+# the monotonicity a consistent heuristic guarantees; float drift in the
+# g + h sums grows with the weights.
+ORDER_SLACK = 1e-9
 
 
 @dataclass
@@ -39,23 +49,25 @@ class Stats:
     subsets_built: int = 0
     queue_peak: int = 0
     arcs_relaxed: int = 0
+    order_violations: int = 0  # pops whose priority fell beyond ORDER_SLACK
 
     def as_dict(self) -> dict:
         return {"popped": self.popped, "pushed": self.pushed,
                 "subsets_built": self.subsets_built,
                 "queue_peak": self.queue_peak,
-                "arcs_relaxed": self.arcs_relaxed}
+                "arcs_relaxed": self.arcs_relaxed,
+                "order_violations": self.order_violations}
 
 
 @dataclass(frozen=True)
 class SearchResult:
     labels: tuple
-    weight: float
+    weight: float   # in the automaton's encoding
     stats: Stats
 
 
-# on_pop callbacks receive (handle, gscore, heuristic, fscore, labels);
-# handle is None for the super-final pop.
+# on_pop callbacks receive (handle, gscore, heuristic, fscore, labels),
+# scores as -ln weights; handle is None for the super-final pop.
 TraceFn = Callable[[Optional[int], float, float, float, tuple], None]
 
 
@@ -72,7 +84,7 @@ def shortest_string(a: Automaton, *, residual_tolerance: float = 1e-6,
     exists and :class:`BudgetExceededError` past the subset budget.
     """
     beta = backward_distance(a, "base")
-    if beta[a.initial] == a.semiring.zero:
+    if beta[a.initial] == ZERO:
         raise EmptyLanguageError("the automaton accepts no string")
     if cache is None:
         cache = DfaCache(a, residual_tolerance, state_budget)
@@ -93,26 +105,22 @@ def shortest_string_via_full_determinization(
     cache.full_expand()
     dfa = materialize(cache)
     beta_d = backward_distance(dfa, "base")
-    if beta_d[cache.start()] == a.semiring.zero:
+    if beta_d[cache.start()] == ZERO:
         raise EmptyLanguageError("the automaton accepts no string")
     return _astar(cache, beta_d.__getitem__, on_pop)
 
 
 def _astar(cache: DfaCache, heuristic: Callable[[int], float],
            on_pop: TraceFn | None) -> SearchResult:
-    sr = cache.semiring
-    zero, times, pk = sr.zero, sr._times, sr.priority_key
     stats = Stats()
     counter = 0
     root = cache.start()
-    g_root = sr.one
-    f_root = times(g_root, heuristic(root))
-    # entry: (fkey, string length, labels, counter, handle | None, gscore);
+    # entry: (fscore, string length, labels, counter, handle | None, gscore);
     # the unique counter stops comparison before the handle field
-    heap = [(pk(f_root), 0, (), counter, root, g_root)]
+    heap = [(ONE + heuristic(root), 0, (), counter, root, ONE)]
     stats.pushed = 1
     stats.queue_peak = 1
-    best_g = {root: g_root}
+    best_g = {root: ONE}
     settled = set()
     last_fkey = -float("inf")
     while heap:
@@ -121,41 +129,45 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
             stats.popped += 1
             stats.subsets_built = cache.num_states
             if on_pop is not None:
-                on_pop(None, g, sr.one, g, labels)
-            return SearchResult(labels, g, stats)
+                on_pop(None, g, ONE, g, labels)
+            return SearchResult(labels, cache.automaton.encoding.from_log(g),
+                                stats)
         if handle in settled:
             continue
         settled.add(handle)
         stats.popped += 1
         # consistent heuristic: pop priorities never decrease
-        assert fkey >= last_fkey - 1e-9, "popped priorities decreased"
-        last_fkey = max(last_fkey, fkey)
+        if fkey < last_fkey - ORDER_SLACK * max(1.0, abs(last_fkey)):
+            stats.order_violations += 1
+        elif fkey > last_fkey:
+            last_fkey = fkey
         h_here = heuristic(handle)
         if on_pop is not None:
-            on_pop(handle, g, h_here, times(g, h_here), labels)
+            on_pop(handle, g, h_here, g + h_here, labels)
         final = cache.final_weight(handle)
-        if final != zero:
-            g_goal = times(g, final)
+        if final != ZERO:
+            g_goal = g + final
             counter += 1
-            heapq.heappush(heap, (pk(g_goal), len(labels), labels, counter,
+            heapq.heappush(heap, (g_goal, len(labels), labels, counter,
                                   None, g_goal))
             stats.pushed += 1
         for label, weight, target in cache.expand(handle):
             stats.arcs_relaxed += 1
             if target in settled:
                 continue
-            if heuristic(target) == zero:
+            h_next = heuristic(target)
+            if h_next == ZERO:
                 continue  # dead end: no completion exists from there
-            g_next = times(g, weight)
+            g_next = g + weight
             old = best_g.get(target)
-            if old is None or pk(g_next) < pk(old):
+            if old is None or g_next < old:
                 best_g[target] = g_next
             elif g_next != old:
                 continue  # strictly worse than the known path
             # equal gscores fall through: a later path may win the
             # shorter-then-lexicographic tie break
             counter += 1
-            heapq.heappush(heap, (pk(times(g_next, heuristic(target))),
+            heapq.heappush(heap, (g_next + h_next,
                                   len(labels) + 1, labels + (label,),
                                   counter, target, g_next))
             stats.pushed += 1
@@ -192,9 +204,9 @@ def heuristic_audit(a: Automaton, *, tolerance: float = 1e-9,
     never overestimates the best single completion (admissibility, against
     the companion backward table of the determinized machine) and never
     overestimates across any single arc or the final hop (consistency).
-    Violations beyond ``tolerance`` are reported; small instances only.
+    Violations beyond ``tolerance`` (in ``-ln`` units) are reported; small
+    instances only.
     """
-    sr = a.semiring
     beta_n = backward_distance(a, "base")
     cache = DfaCache(a, residual_tolerance, state_budget)
     count = cache.full_expand()
@@ -205,22 +217,22 @@ def heuristic_audit(a: Automaton, *, tolerance: float = 1e-9,
     arcs_checked = 0
     for handle in range(count):
         h_here = cache.heuristic(handle, beta_n)
-        if not sr.leq_within(h_here, beta_hat[handle], tolerance):
+        if h_here > beta_hat[handle] + tolerance:
             admissibility.append(
                 f"state {handle}: heuristic {format_weight(h_here)} exceeds "
                 f"best completion {format_weight(beta_hat[handle])}")
         for label, weight, target in cache.expand(handle):
             arcs_checked += 1
-            bound = sr.times(weight, cache.heuristic(target, beta_n))
-            if not sr.leq_within(h_here, bound, tolerance):
+            bound = weight + cache.heuristic(target, beta_n)
+            if h_here > bound + tolerance:
                 consistency.append(
                     f"arc {handle}-{label}->{target}: heuristic "
                     f"{format_weight(h_here)} exceeds step bound "
                     f"{format_weight(bound)}")
         final = cache.final_weight(handle)
-        if final != sr.zero:
+        if final != ZERO:
             arcs_checked += 1
-            if not sr.leq_within(h_here, final, tolerance):
+            if h_here > final + tolerance:
                 consistency.append(
                     f"state {handle}: heuristic {format_weight(h_here)} "
                     f"exceeds final weight {format_weight(final)}")

@@ -1,209 +1,80 @@
-"""Weight algebra for lattice decoding.
+"""The weight algebra, and the encodings weights are written in.
 
-Weights are bare 64-bit floats whose meaning is fixed by the active
-semiring object. Two semirings are provided:
+Inside the package every weight is a bare float ``w = -ln p`` in the log
+semiring: ``plus`` is the log-sum-exp ``-ln(e^-a + e^-b)``, ``times`` is
+``+``, zero is ``+inf`` (no path), one is ``0.0`` (the empty path), and
+smaller is better. The companion (best-of) view of ``plus`` is ``min``.
+The algebra is monotonic and negative: summing alternatives never beats
+every alternative, and extending a path never improves it. Members are
+the reals and ``+inf``; NaN and ``-inf`` are rejected where weights enter
+(``read_text`` and ``validate``).
 
-* ``log``:  carrier R plus both infinities, ``plus`` is the stable
-  log-domain sum ``-ln(e^-a + e^-b)``, ``times`` is ``+``, zero is
-  ``+inf``, one is ``0.0``, and smaller values are better.
-* ``real``: carrier ``[0, inf)`` (probability masses), ``plus`` is
-  ``+``, ``times`` is ``*``, zero is ``0.0``, one is ``1.0``, and
-  larger values are better.
-
-Both algebras are monotonic and negative: summing alternatives never
-beats every alternative, and extending a path never improves it. Each
-also carries a companion view, ``companion_plus``, which selects the
-better operand under the semiring's total order; running the usual
-algorithms with ``companion_plus`` in place of ``plus`` yields the
-tropical (resp. max-times) behaviour without a separate weight type.
-
-The public operations reject non-member floats with
-:class:`SemiringDomainError`. The underscore variants skip that check;
-they exist for inner loops over already-validated automata, where both
-algebras are closed.
+The plus-times semiring over probabilities is isomorphic to it under
+``p -> -ln p``, minus the underflow, so it is not computed in: ``real``
+is only an :class:`Encoding`, the way weights are written in files and
+shown to users. ``read_text`` checks each written weight against its
+encoding and stores ``to_log`` of it; ``write_text``, search results,
+oracle results and the CLI's printed distances convert back with
+``from_log``.
 """
 
 from __future__ import annotations
 
 import math
-
-from .errors import SemiringDomainError
+from dataclasses import dataclass
+from typing import Callable
 
 INF = math.inf
+ZERO = INF  # additive identity; absorbs under times; "no path"
+ONE = 0.0   # multiplicative identity; weight of the empty path
 
 
-class Semiring:
-    """Operations of one weight algebra over bare floats."""
+def log_sum(weights) -> float:
+    """The log semiring sum of a sequence of weights: ``-ln sum e^-w``;
+    zero (``+inf``) for an empty sequence. Shifting by the best weight
+    keeps every exponent in ``[-inf, 0]``, so nothing underflows to a
+    false zero however large the weights are."""
+    best = min(weights, default=INF)
+    if best == INF:
+        return INF
+    return best - math.log(sum([math.exp(best - w) for w in weights]))
 
-    name: str = "?"
-    zero: float = INF  # additive identity; absorbs under times; "no path"
-    one: float = 0.0   # multiplicative identity; weight of the empty path
 
-    def is_member(self, a: float) -> bool:
-        raise NotImplementedError
+@dataclass(frozen=True, eq=False)
+class Encoding:
+    """How weights are written outside the package.
 
-    def plus(self, a: float, b: float) -> float:
-        raise NotImplementedError
+    ``is_member`` accepts the written values a file may hold; ``to_log``
+    maps them to the package's ``-ln`` weights and ``from_log`` back."""
 
-    def times(self, a: float, b: float) -> float:
-        raise NotImplementedError
-
-    def divide(self, a: float, b: float) -> float:
-        """Right inverse of times: ``times(b, divide(a, b)) == a``."""
-        raise NotImplementedError
-
-    def leq(self, a: float, b: float) -> bool:
-        """Total order of the semiring; True when ``a`` is better or equal."""
-        raise NotImplementedError
-
-    def companion_plus(self, a: float, b: float) -> float:
-        """Select the better operand; the idempotent view of ``plus``."""
-        self.check_member(a)
-        self.check_member(b)
-        return a if self.leq(a, b) else b
-
-    def priority_key(self, a: float) -> float:
-        """Map a weight to a float that sorts ascending in the order."""
-        raise NotImplementedError
-
-    def leq_within(self, a: float, b: float, tol: float) -> bool:
-        """``leq(a, b)`` with absolute slack ``tol`` for float drift."""
-        return self.priority_key(a) <= self.priority_key(b) + tol
-
-    def check_member(self, a: float) -> None:
-        if not self.is_member(a):
-            raise SemiringDomainError(
-                f"{a!r} is not a member of the {self.name} semiring")
-
-    def _plus(self, a: float, b: float) -> float:
-        raise NotImplementedError
-
-    def _times(self, a: float, b: float) -> float:
-        raise NotImplementedError
-
-    def _divide(self, a: float, b: float) -> float:
-        raise NotImplementedError
-
-    def _companion_plus(self, a: float, b: float) -> float:
-        return a if self.leq(a, b) else b
+    name: str
+    is_member: Callable[[float], bool]
+    to_log: Callable[[float], float]
+    from_log: Callable[[float], float]
 
     def __repr__(self):
-        return f"<{self.name} semiring>"
+        return f"<{self.name} encoding>"
 
 
-class LogSemiring(Semiring):
-    """Negated-log probability masses; sums merge alternatives."""
-
-    name = "log"
-    zero = INF
-    one = 0.0
-
-    def is_member(self, a):
-        # all reals and both infinities; NaN is never a member
-        return a == a
-
-    def plus(self, a, b):
-        if a != a or b != b:
-            self.check_member(a)
-            self.check_member(b)
-        return self._plus(a, b)
-
-    def times(self, a, b):
-        if a != a or b != b:
-            self.check_member(a)
-            self.check_member(b)
-        return self._times(a, b)
-
-    def divide(self, a, b):
-        if a != a or b != b:
-            self.check_member(a)
-            self.check_member(b)
-        return self._divide(a, b)
-
-    def _plus(self, a, b):
-        if a == INF:
-            return b
-        if b == INF:
-            return a
-        if a == -INF or b == -INF:
-            return -INF
-        # stable form of -ln(e^-a + e^-b); naive exponentiation underflows
-        # once weights pass ~745
-        return min(a, b) - math.log1p(math.exp(-abs(a - b)))
-
-    def _times(self, a, b):
-        if a == INF or b == INF:
-            return INF  # annihilation wins over inf + (-inf)
-        return a + b
-
-    def _divide(self, a, b):
-        if b == INF:
-            raise ZeroDivisionError("division by the log semiring zero (+inf)")
-        if a == INF:
-            return INF
-        return a - b
-
-    def leq(self, a, b):
-        return a <= b
-
-    def priority_key(self, a):
-        return a
+def _neg_log(p: float) -> float:
+    return -math.log(p) if p > 0.0 else INF
 
 
-class RealSemiring(Semiring):
-    """Plain probability masses; the order prefers larger mass."""
-
-    name = "real"
-    zero = 0.0
-    one = 1.0
-
-    def is_member(self, a):
-        # finite and non-negative; excludes +inf and NaN
-        return 0.0 <= a < INF
-
-    def plus(self, a, b):
-        if not (0.0 <= a < INF and 0.0 <= b < INF):
-            self.check_member(a)
-            self.check_member(b)
-        return a + b
-
-    def times(self, a, b):
-        if not (0.0 <= a < INF and 0.0 <= b < INF):
-            self.check_member(a)
-            self.check_member(b)
-        return a * b
-
-    def divide(self, a, b):
-        if not (0.0 <= a < INF and 0.0 <= b < INF):
-            self.check_member(a)
-            self.check_member(b)
-        return self._divide(a, b)
-
-    def _plus(self, a, b):
-        return a + b
-
-    def _times(self, a, b):
-        return a * b
-
-    def _divide(self, a, b):
-        if b == 0.0:
-            raise ZeroDivisionError("division by the real semiring zero (0.0)")
-        return a / b
-
-    def leq(self, a, b):
-        return a >= b
-
-    def priority_key(self, a):
-        return -a
+def _identity(w: float) -> float:
+    return w
 
 
-LOG = LogSemiring()
-REAL = RealSemiring()
+# written log weights: the reals and +inf; NaN and -inf are rejected
+LOG = Encoding("log", lambda w: w > -INF, _identity, _identity)
+# written probabilities: finite and non-negative
+REAL = Encoding("real", lambda p: 0.0 <= p < INF, _neg_log,
+                lambda w: math.exp(-w))
 
 SEMIRINGS = {LOG.name: LOG, REAL.name: REAL}
 
 
-def get_semiring(name: str) -> Semiring:
+def get_semiring(name: str) -> Encoding:
+    """The encoding named by ``--semiring``: ``log`` or ``real``."""
     try:
         return SEMIRINGS[name]
     except KeyError:

@@ -10,12 +10,12 @@ direct high-precision log-sum-exp over the enumerated path weights,
 computed before and apart from the library code.
 """
 
-import math
 import random
 
 import pytest
 
-from shortstring import Automaton, LatticeSpec, LOG, REAL, generate
+from shortstring import (Automaton, LatticeSpec, LOG, REAL, generate,
+                         read_text, write_text)
 
 A, B, C = 1, 2, 3
 
@@ -77,7 +77,7 @@ def small_instance(seed):
 
 
 def to_real(a):
-    """The same automaton over the real semiring: weights exp(-w)."""
-    arcs = [(src, label, math.exp(-w), dst) for src, label, w, dst in a.all_arcs()]
-    finals = {q: math.exp(-w) for q, w in a.finals.items()}
-    return Automaton(REAL, a.num_states, a.initial, arcs, finals)
+    """The same automaton as read from a file of probabilities e^-w: written
+    and parsed back through the real encoding."""
+    real = Automaton(REAL, a.num_states, a.initial, a.all_arcs(), dict(a.finals))
+    return read_text(write_text(real), REAL)

@@ -98,9 +98,19 @@ class TestValidate:
         assert any("out of range" in v for v in report.violations)
 
     def test_non_member_weight(self):
-        a = Automaton(REAL, 2, 0, [(0, 1, -0.5, 1)], {1: 1.0})
+        a = Automaton(LOG, 2, 0, [(0, 1, float("nan"), 1)], {1: 1.0})
         report = validate(a)
         assert any("not a member" in v for v in report.violations)
+
+    def test_negative_infinity_rejected(self):
+        # -inf would be a probability of +inf; decoding it produced NaN
+        # residuals and a traceback
+        a = Automaton(LOG, 2, 0, [(0, 1, -INF, 1)], {1: -INF})
+        report = validate(a)
+        assert len([v for v in report.violations if "not a member" in v]) == 2
+        with pytest.raises(ParseError) as info:
+            read_text("0 1 1 -inf\n1\n", LOG)
+        assert info.value.line == 1
 
     def test_final_out_of_range(self):
         a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {1: 0.0, 9: 0.0})
@@ -127,9 +137,10 @@ class TestReadText:
         assert a.is_final(0)
 
     def test_missing_weights_default_to_one(self):
-        a = read_text("0 1 5\n1\n", LOG)
-        assert a.arcs(0)[0].weight == LOG.one
-        assert a.final_weight(1) == LOG.one
+        for encoding in (LOG, REAL):
+            a = read_text("0 1 5\n1\n", encoding)
+            assert a.arcs(0)[0].weight == 0.0
+            assert a.final_weight(1) == 0.0
 
     def test_comments_and_blank_lines(self):
         a = read_text("# header\n\n0 1 5 0.5\n# mid\n1 0.0\n", LOG)

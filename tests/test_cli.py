@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from shortstring import cli
+from shortstring import cli, write_text
 
-from conftest import E1_SYMBOLS_TEXT, E1_TEXT
+from conftest import E1_SYMBOLS_TEXT, E1_TEXT, small_instance, to_real
 
 
 @pytest.fixture
@@ -72,7 +72,8 @@ class TestDecode:
         assert code == 0
         stats = json.loads(err.strip())
         assert set(stats) == {"popped", "pushed", "subsets_built",
-                              "queue_peak", "arcs_relaxed"}
+                              "queue_peak", "arcs_relaxed", "order_violations"}
+        assert stats["order_violations"] == 0
         assert stats["popped"] == 4
 
     def test_trace(self, capsys, e1_file, symbols_file):
@@ -93,6 +94,44 @@ class TestDecode:
         code, out, _ = run(capsys, "decode", str(path), "--semiring", "real")
         assert code == 0
         assert out == "1\t0.500000\n"
+
+    def test_real_oracle_differential(self, capsys, tmp_path):
+        for seed in range(20):
+            path = tmp_path / f"real{seed}.lat"
+            path.write_text(write_text(to_real(small_instance(seed))))
+            code, out, _ = run(capsys, "decode", str(path), "--semiring",
+                               "real", "--oracle")
+            assert code == 0
+            decoded, oracle = out.splitlines()
+            assert oracle == "oracle\t" + decoded
+
+    def test_real_long_chain_does_not_underflow(self, capsys, tmp_path):
+        # 0.1 ** 400 is below the smallest float; in -ln it is 921.03
+        path = tmp_path / "chain.lat"
+        path.write_text("".join(f"{q} {q + 1} {1 + q % 3} 0.1\n"
+                                for q in range(400)) + "400\n")
+        code, out, _ = run(capsys, "decode", str(path), "--semiring", "real")
+        assert code == 0
+        labels, weight = out.split("\t")
+        assert labels.split() == [str(1 + q % 3) for q in range(400)]
+        assert weight == "0.000000\n"
+
+    def test_long_chain_pop_order(self, capsys, tmp_path):
+        # the g + h sums drift past any absolute slack on 20,000 arcs
+        path = tmp_path / "chain.lat"
+        path.write_text("".join(f"{q} {q + 1} {1 + q % 3} 0.1\n"
+                                for q in range(20_000)) + "20000\n")
+        code, out, err = run(capsys, "decode", str(path), "--stats")
+        assert code == 0
+        assert len(out.split("\t")[0].split()) == 20_000
+        assert json.loads(err)["order_violations"] == 0
+
+    def test_negative_infinity_weight(self, capsys, tmp_path):
+        path = tmp_path / "neginf.lat"
+        path.write_text("0 1 1 -inf\n1\n")
+        code, _, err = run(capsys, "decode", str(path))
+        assert code == 3
+        assert "line 1" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "decode", str(tmp_path / "nope.lat"))
