@@ -4,8 +4,8 @@ Finds the label sequence whose merged weight over all of its paths is the
 best one, which over the log semiring (or over probabilities, which are
 decoded as ``-ln p``) is not in general the label sequence of the best
 single path. The decoder determinizes the lattice lazily and runs a
-best-first search whose heuristic is the source lattice's own backward
-distance.
+best-first search whose heuristic bounds the mass of any one string of
+the source lattice (the ``"string"`` backward view of :mod:`.distance`).
 """
 
 from .automaton import (Arc, Automaton, SymbolTable, ValidationReport,

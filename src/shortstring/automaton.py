@@ -84,6 +84,7 @@ class Automaton:
         self.pruned_finals = pruned_finals
         self._arcs = tuple(tuple(lst) for lst in per_state)
         self._finals = kept
+        self._order = None  # memo of topological_order, once it succeeded
 
     @property
     def finals(self):
@@ -162,7 +163,10 @@ def validate(a: Automaton) -> ValidationReport:
 def topological_order(a: Automaton) -> list:
     """States ordered so every arc goes forward; smallest-id-first among
     ready states, so the result is unique. Raises :class:`CycleError` on
-    cyclic input, naming one back arc."""
+    cyclic input, naming one back arc. The order is computed once per
+    automaton and returned as a fresh list on every call."""
+    if a._order is not None:
+        return list(a._order)
     indegree = [0] * a.num_states
     for _, _, _, target in a.all_arcs():
         indegree[target] += 1
@@ -178,6 +182,7 @@ def topological_order(a: Automaton) -> list:
                 heapq.heappush(ready, arc.target)
     if len(order) < a.num_states:
         raise CycleError(f"cycle detected: arc {_find_back_arc(a)} closes a loop")
+    a._order = tuple(order)
     return order
 
 

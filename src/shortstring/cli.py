@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .automaton import SymbolTable, read_text, validate, write_text
@@ -122,6 +123,10 @@ def _cmd_decode(args) -> int:
             return EXIT_INVALID
     if args.budget < 1:
         print("error: budget must be positive", file=sys.stderr)
+        return EXIT_INVALID
+    if not 0.0 <= args.delta_det < math.inf:
+        print("error: --delta-det must be finite and non-negative",
+              file=sys.stderr)
         return EXIT_INVALID
     encoding = get_semiring(args.semiring)
     try:

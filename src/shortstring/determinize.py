@@ -44,6 +44,9 @@ class DfaCache:
                  state_budget: int | None = None):
         if state_budget is not None and state_budget < 1:
             raise ValueError("state budget must be positive")
+        if not 0.0 <= residual_tolerance < INF:
+            raise ValueError("residual tolerance must be finite and "
+                             "non-negative")
         self.automaton = automaton
         self.residual_tolerance = residual_tolerance
         self.state_budget = state_budget
@@ -122,11 +125,16 @@ class DfaCache:
 
     def heuristic(self, handle: int, backward: DistanceTable) -> float:
         """Remaining-mass estimate of a subset: the semiring sum of residual
-        times the member's backward distance in the source automaton.
+        times the member's value in a backward table of the source
+        automaton.
 
-        ``backward`` must be the base-view backward table of the source
-        automaton and must be the same table on every call for this cache
-        (the memo does not key on it)."""
+        ``backward`` must be the same table on every call for this cache
+        (the memo does not key on it). The estimate is admissible and
+        consistent when each member's value is at most its final weight
+        and, for each label, at most the log-sum of its arcs with that
+        label into their targets' values: the ``"string"`` view the
+        search uses, or the looser ``"base"`` view (see
+        :mod:`.distance`)."""
         memo = self._heuristics.get(handle)
         if memo is not None:
             return memo
@@ -157,7 +165,7 @@ class DfaCache:
 
     def _key(self, pairs: tuple) -> tuple:
         tol = self.residual_tolerance
-        if tol <= 0.0:
+        if tol == 0.0:
             return pairs
         # residuals in the same cell differ by less than the tolerance;
         # they are finite, as arc weights of a valid automaton are

@@ -7,8 +7,11 @@ fixes this: in a deterministic machine each string has exactly one path,
 whose weight is the string's merged weight. The search therefore runs
 over determinized subsets, best-first on ``-ln`` weights (path weights
 add, and smaller is better: the companion view ``min``), and uses each
-subset's merged remaining mass as the heuristic.
-That heuristic never overestimates the best completion and never
+residual-weighted sum of its members' best-string bounds as the
+heuristic: the ``"string"`` backward view of :mod:`.distance`, which
+merges arcs that share a label and takes the best label, so it bounds
+the mass of any one string rather than all futures together. That
+heuristic never overestimates the best completion and never
 overestimates any single step, so the first goal popped is the best
 string and every subset is settled at most once.
 
@@ -34,6 +37,10 @@ from .determinize import DfaCache, materialize
 from .distance import backward_distance
 from .errors import EmptyLanguageError
 from .semiring import ONE, ZERO, format_weight
+
+# The backward view of the source automaton that the heuristic is built
+# from (see :mod:`.distance` for why it is admissible and consistent).
+HEURISTIC_VIEW = "string"
 
 # A popped priority may fall below an earlier one by this fraction of the
 # earlier one's magnitude (at least 1) before it counts as a violation of
@@ -83,12 +90,12 @@ def shortest_string(a: Automaton, *, residual_tolerance: float = 1e-6,
     then apply). Raises :class:`EmptyLanguageError` when no complete path
     exists and :class:`BudgetExceededError` past the subset budget.
     """
-    beta = backward_distance(a, "base")
-    if beta[a.initial] == ZERO:
+    bound = backward_distance(a, HEURISTIC_VIEW)
+    if bound[a.initial] == ZERO:
         raise EmptyLanguageError("the automaton accepts no string")
     if cache is None:
         cache = DfaCache(a, residual_tolerance, state_budget)
-    return _astar(cache, lambda handle: cache.heuristic(handle, beta), on_pop)
+    return _astar(cache, lambda handle: cache.heuristic(handle, bound), on_pop)
 
 
 def shortest_string_via_full_determinization(
@@ -201,13 +208,14 @@ def heuristic_audit(a: Automaton, *, tolerance: float = 1e-9,
     """Exhaustively verify the search heuristic on one automaton.
 
     Fully determinizes ``a``, then checks per subset that the heuristic
+    :func:`shortest_string` uses (built from the ``HEURISTIC_VIEW`` table)
     never overestimates the best single completion (admissibility, against
     the companion backward table of the determinized machine) and never
     overestimates across any single arc or the final hop (consistency).
     Violations beyond ``tolerance`` (in ``-ln`` units) are reported; small
     instances only.
     """
-    beta_n = backward_distance(a, "base")
+    table = backward_distance(a, HEURISTIC_VIEW)
     cache = DfaCache(a, residual_tolerance, state_budget)
     count = cache.full_expand()
     dfa = materialize(cache)
@@ -216,14 +224,14 @@ def heuristic_audit(a: Automaton, *, tolerance: float = 1e-9,
     consistency = []
     arcs_checked = 0
     for handle in range(count):
-        h_here = cache.heuristic(handle, beta_n)
+        h_here = cache.heuristic(handle, table)
         if h_here > beta_hat[handle] + tolerance:
             admissibility.append(
                 f"state {handle}: heuristic {format_weight(h_here)} exceeds "
                 f"best completion {format_weight(beta_hat[handle])}")
         for label, weight, target in cache.expand(handle):
             arcs_checked += 1
-            bound = weight + cache.heuristic(target, beta_n)
+            bound = weight + cache.heuristic(target, table)
             if h_here > bound + tolerance:
                 consistency.append(
                     f"arc {handle}-{label}->{target}: heuristic "

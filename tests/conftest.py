@@ -81,3 +81,27 @@ def to_real(a):
     and parsed back through the real encoding."""
     real = Automaton(REAL, a.num_states, a.initial, a.all_arcs(), dict(a.finals))
     return read_text(write_text(real), REAL)
+
+
+def random_dag(seed, semiring):
+    """Arbitrary acyclic acceptor: parallel arcs, dead ends, unreachable
+    states, and final states that still have outgoing arcs. Harsher than
+    the layered lattices the generator produces. Weights are drawn in the
+    encoding and stored through it."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 10)
+    arcs = []
+    for src in range(n - 1):
+        for _ in range(rng.randint(0, 4)):
+            dst = rng.randint(src + 1, n - 1)
+            if semiring is LOG:
+                weight = rng.uniform(-3.0, 8.0)
+            else:
+                weight = rng.uniform(1e-6, 2.0)
+            arcs.append((src, rng.randint(1, 4), semiring.to_log(weight), dst))
+    finals = {}
+    for q in range(n):
+        if rng.random() < 0.35:
+            finals[q] = semiring.to_log(rng.uniform(0.0, 4.0) if semiring is LOG
+                                        else rng.uniform(1e-6, 1.5))
+    return Automaton(semiring, n, 0, arcs, finals)

@@ -73,6 +73,15 @@ class TestTopologicalOrder:
         with pytest.raises(CycleError) as info:
             topological_order(a)
         assert "->" in str(info.value)
+        # failures are not memoized: every call reports the cycle
+        with pytest.raises(CycleError):
+            topological_order(a)
+        assert not validate(a).ok
+
+    def test_memoized_order_is_not_shared(self, e1):
+        first = topological_order(e1)
+        first.reverse()
+        assert topological_order(e1) == [0, 1, 2, 3]
 
 
 class TestValidate:

@@ -169,6 +169,13 @@ class TestDecode:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+    def test_bad_delta_det_rejected(self, capsys, e1_numeric_file, tolerance):
+        code, _, err = run(capsys, "decode", e1_numeric_file,
+                           f"--delta-det={tolerance}")
+        assert code == 3
+        assert "delta-det" in err
+
     def test_unknown_token(self, capsys, tmp_path, symbols_file):
         path = tmp_path / "tok.lat"
         path.write_text("0 1 zzz 0.5\n1 0.0\n")

@@ -103,6 +103,15 @@ class TestFullExpand:
         with pytest.raises(ValueError):
             DfaCache(e1, state_budget=0)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, INF, -1e-6])
+    def test_bad_tolerance_rejected(self, e1, tolerance):
+        # a NaN cell is not a number, and +inf would merge every residual
+        with pytest.raises(ValueError):
+            DfaCache(e1, tolerance)
+
+    def test_zero_tolerance_keys_exactly(self, e1):
+        assert DfaCache(e1, 0.0).full_expand() == 3
+
     def test_handle_numbering_deterministic(self):
         a = small_instance(11)
         first = DfaCache(a)

@@ -2,11 +2,13 @@ import math
 
 import pytest
 
-from shortstring import (Automaton, CycleError, LOG, approx_eq,
-                         backward_distance, enumerate_strings,
-                         forward_distance, log_sum, total_distance)
+from shortstring import (Automaton, CycleError, EmptyLanguageError, LOG, REAL,
+                         approx_eq, backward_distance, enumerate_strings,
+                         forward_distance, log_sum, oracle_shortest_string,
+                         total_distance)
 
-from conftest import E1_ARCS, E1_TOTAL, small_instance, to_real
+from conftest import (E1_ARCS, E1_TOTAL, SIGMA_AB, random_dag, small_instance,
+                      to_real)
 
 INF = math.inf
 
@@ -24,6 +26,13 @@ class TestE1Values:
         beta = backward_distance(e1, "companion")
         assert beta[0] == 0.9
         assert list(beta) == [0.9, 0.7, 0.9, 0.0]
+
+    def test_backward_string(self, e1):
+        # "a" merges its two arcs (0.5 + 0.7, 0.5 + 0.9) and beats "c" (0.9)
+        u = backward_distance(e1, "string")
+        assert u.direction == "backward" and u.view == "string"
+        assert list(u)[1:] == [0.7, 0.9, 0.0]
+        assert approx_eq(u[0], SIGMA_AB)
 
     def test_forward_base(self, e1):
         alpha = forward_distance(e1, "base")
@@ -73,6 +82,13 @@ class TestEdgeCases:
     def test_unknown_view(self, e1):
         with pytest.raises(ValueError):
             backward_distance(e1, "tropical")
+        with pytest.raises(ValueError):
+            forward_distance(e1, "string")
+
+    def test_string_view_cyclic_rejected(self):
+        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (1, 1, 0.5, 0)], {1: 0.0})
+        with pytest.raises(CycleError):
+            backward_distance(a, "string")
 
 
 class TestProperties:
@@ -117,3 +133,45 @@ class TestProperties:
                          math.exp(-E1_TOTAL), 1e-12)
         beta = backward_distance(a, "companion")
         assert approx_eq(beta[0], 0.9, 1e-12)
+
+
+def _string_bound_population():
+    for seed in range(40):
+        yield small_instance(seed)
+    for seed in range(10):
+        yield to_real(small_instance(seed))
+    for encoding in (LOG, REAL):
+        for seed in range(150):
+            yield random_dag(seed, encoding)
+
+
+class TestStringView:
+    def test_bounds_base_from_above(self):
+        # u >= beta everywhere, and both are +inf on the same states
+        for a in _string_bound_population():
+            base = backward_distance(a, "base")
+            u = backward_distance(a, "string")
+            for q in range(a.num_states):
+                assert base[q] <= u[q] + 1e-9
+                assert (base[q] == math.inf) == (u[q] == math.inf)
+
+    def test_bounds_best_string_from_below(self):
+        # u(initial) never exceeds the best merged string weight
+        decoded = 0
+        for a in _string_bound_population():
+            u = backward_distance(a, "string")
+            try:
+                _, weight = oracle_shortest_string(a)
+            except EmptyLanguageError:
+                assert u[a.initial] == math.inf
+                continue
+            assert u[a.initial] <= a.encoding.to_log(weight) + 1e-9
+            decoded += 1
+        assert decoded > 100
+
+    def test_exact_on_deterministic_input(self):
+        # one arc per label everywhere: u is the best string's weight
+        a = Automaton(LOG, 4, 0, [(0, 1, 0.3, 1), (0, 2, 0.2, 2),
+                                  (1, 1, 0.4, 3), (2, 2, 0.9, 3)], {3: 0.1})
+        _, weight = oracle_shortest_string(a)
+        assert approx_eq(backward_distance(a, "string")[0], weight, 1e-12)

@@ -1,41 +1,17 @@
 import math
-import random
 
 import pytest
 
 from shortstring import (Automaton, BudgetExceededError, DfaCache,
-                         EmptyLanguageError, LOG, REAL, approx_eq,
+                         EmptyLanguageError, LOG, LatticeSpec, REAL,
+                         approx_eq, backward_distance, generate,
                          heuristic_audit, oracle_shortest_string,
                          shortest_string,
                          shortest_string_via_full_determinization)
 
-from conftest import E1_TOTAL, SIGMA_AB, small_instance, to_real
+from conftest import SIGMA_AB, random_dag, small_instance, to_real
 
 INF = math.inf
-
-
-def random_dag(seed, semiring):
-    """Arbitrary acyclic acceptor: parallel arcs, dead ends, unreachable
-    states, and final states that still have outgoing arcs. Harsher than
-    the layered lattices the generator produces. Weights are drawn in the
-    encoding and stored through it."""
-    rng = random.Random(seed)
-    n = rng.randint(1, 10)
-    arcs = []
-    for src in range(n - 1):
-        for _ in range(rng.randint(0, 4)):
-            dst = rng.randint(src + 1, n - 1)
-            if semiring is LOG:
-                weight = rng.uniform(-3.0, 8.0)
-            else:
-                weight = rng.uniform(1e-6, 2.0)
-            arcs.append((src, rng.randint(1, 4), semiring.to_log(weight), dst))
-    finals = {}
-    for q in range(n):
-        if rng.random() < 0.35:
-            finals[q] = semiring.to_log(rng.uniform(0.0, 4.0) if semiring is LOG
-                                        else rng.uniform(1e-6, 1.5))
-    return Automaton(semiring, n, 0, arcs, finals)
 
 
 class TestE1:
@@ -60,7 +36,8 @@ class TestE1:
         handles = [event[0] for event in pops]
         assert handles == [0, 1, 2, None]
         fscores = [event[3] for event in pops]
-        assert approx_eq(fscores[0], E1_TOTAL)
+        # the string bound is exact on E1: the root already scores "a b"
+        assert approx_eq(fscores[0], SIGMA_AB)
         assert approx_eq(fscores[1], SIGMA_AB)
         assert approx_eq(fscores[2], SIGMA_AB)  # gscore improved from 0.9
         assert approx_eq(fscores[3], SIGMA_AB)
@@ -126,6 +103,20 @@ class TestSmallCases:
         labels, weight = oracle_shortest_string(a)
         assert labels == (1, 2)
         assert approx_eq(weight, result.weight, 1e-9)
+
+
+class TestStringBound:
+    def test_ambiguous_depth_25_fits_a_small_budget(self):
+        # width 5, vocab 3, merge 0.2 at depth 25: the merged backward mass
+        # as the heuristic needs about 91k subsets here, the string bound
+        # at most 827
+        for seed in range(5):
+            a = generate(LatticeSpec(depth=25, width=5, vocab=3,
+                                     merge_prob=0.2, seed=seed))
+            result = shortest_string(a, state_budget=5000)
+            assert len(result.labels) == 25
+            bound = backward_distance(a, "string")[a.initial]
+            assert bound <= result.weight + 1e-9
 
 
 class TestTieBreaks:
