@@ -8,29 +8,30 @@ on a stored arc. Arcs are grouped by source state and sorted by (label,
 target, weight) so that subset expansion and weight summation are
 deterministic.
 
-The text format is the usual one-record-per-line acceptor format:
-
-    src dst label [weight]     # arc; missing weight means semiring one
-    state [weight]             # final state; missing weight means one
-
-Weights are written in the file's encoding: ``-ln p`` for ``log``,
-probabilities for ``real``.
-
-The initial state is the source field of the first record. Blank lines
-and lines starting with ``#`` are ignored. Labels are integers unless a
-symbol table maps tokens to integers. A symbol table file holds lines of
-``token id``.
+:func:`read_text` and :func:`write_text` read and write the text format
+of :mod:`.textformat`. A text that :func:`read_text` accepts has state
+ids, labels and weights checked, and its arcs and final weights of zero
+dropped and counted; cycles are left to :func:`validate`.
+:func:`topological_order` puts the smallest ready state first; for an
+automaton whose arcs all go from a smaller to a larger state id, as in
+lattices numbered forward, that order is ``0 .. num_states - 1`` and is
+known when the automaton is built.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain, groupby, repeat
+from math import isnan
+from operator import itemgetter, lt
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import CycleError, ParseError
-from .semiring import LOG, ONE, ZERO, Encoding
+from .errors import CycleError
+from .semiring import LOG, ZERO, Encoding
+from .textformat import SymbolTable, read_records
 
 
 class Arc(NamedTuple):
@@ -39,11 +40,22 @@ class Arc(NamedTuple):
     target: int
 
 
+# Arcs are (source, label, weight, target) tuples. Sorting them by
+# (source, label, target, weight) groups them by source and orders each
+# state's arcs; the stored Arc is (label, weight, target).
+_ORDER = itemgetter(0, 1, 3, 2)
+_STATE_ORDER = itemgetter(1, 3, 2)
+_ARC_FIELDS = itemgetter(1, 2, 3)
+_SOURCE = itemgetter(0)
+_WEIGHT = itemgetter(2)
+
+
 class Automaton:
     """Immutable weighted acceptor.
 
     ``arcs`` is an iterable of ``(source, label, weight, target)`` tuples and
-    ``finals`` maps state to final weight. Weights are ``-ln`` weights
+    ``finals`` maps state to final weight; states and labels are ints and
+    weights floats, stored as given. Weights are ``-ln`` weights
     whatever the ``encoding``, which only says how the automaton's weights
     are written and shown; build from probabilities with ``REAL.to_log``
     or :func:`read_text`. Arcs and final entries whose weight equals the
@@ -57,34 +69,50 @@ class Automaton:
             raise ValueError("an automaton needs at least one state")
         if not 0 <= initial < num_states:
             raise ValueError(f"initial state {initial} out of range")
-        per_state = [[] for _ in range(num_states)]
-        pruned_arcs = 0
-        for source, label, weight, target in arcs:
-            if not 0 <= source < num_states:
-                raise ValueError(f"arc source {source} out of range")
-            weight = float(weight)
-            if weight == ZERO:
-                pruned_arcs += 1
-                continue
-            per_state[source].append(Arc(int(label), weight, int(target)))
-        for lst in per_state:
-            lst.sort(key=lambda arc: (arc.label, arc.target, arc.weight))
-        kept = {}
-        pruned_finals = 0
-        for state, weight in sorted(finals.items()):
-            weight = float(weight)
-            if weight == ZERO:
-                pruned_finals += 1
-                continue
-            kept[int(state)] = weight
+        arcs = list(arcs)
+        if arcs and not (0 <= min(map(_SOURCE, arcs))
+                         and max(map(_SOURCE, arcs)) < num_states):
+            bad = next(arc[0] for arc in arcs
+                       if not 0 <= arc[0] < num_states)
+            raise ValueError(f"arc source {bad} out of range")
+        count = len(arcs)
+        weights = list(map(_WEIGHT, arcs))
+        if ZERO in weights:
+            arcs = [arc for arc in arcs if arc[2] != ZERO]
+        if any(map(isnan, weights)):
+            # NaN compares false both ways, so where a sort puts it depends
+            # on the sequence sorted: each state's arcs are sorted apart,
+            # in input order, so that no state's order depends on another's
+            arcs.sort(key=_SOURCE)
+            arcs = list(chain.from_iterable(
+                sorted(group, key=_STATE_ORDER)
+                for _, group in groupby(arcs, _SOURCE)))
+        else:
+            arcs.sort(key=_ORDER)
+        sources = list(map(_SOURCE, arcs))
+        targets = list(map(itemgetter(3), arcs))
+        # arcs are grouped by source: state q's arcs start after the arcs
+        # of the states before it
+        counts = Counter(sources)
+        bounds = list(accumulate(map(counts.get, range(num_states), repeat(0)),
+                                 initial=0))
+        # an Arc for every arc, built without a Python call per arc
+        flat = tuple(map(tuple.__new__, repeat(Arc), map(_ARC_FIELDS, arcs)))
+        kept = dict(sorted(finals.items()))
+        if ZERO in kept.values():
+            kept = {q: w for q, w in kept.items() if w != ZERO}
         self.encoding = encoding
         self.num_states = num_states
         self.initial = initial
-        self.pruned_arcs = pruned_arcs
-        self.pruned_finals = pruned_finals
-        self._arcs = tuple(tuple(lst) for lst in per_state)
+        self.pruned_arcs = count - len(arcs)
+        self.pruned_finals = len(finals) - len(kept)
+        self._arcs = tuple(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
         self._finals = kept
-        self._order = None  # memo of topological_order, once it succeeded
+        # memo of topological_order once it succeeded; an automaton whose
+        # arcs all go from a smaller to a larger state id is ordered by id
+        forward = (all(map(lt, sources, targets))
+                   and max(targets, default=0) < num_states)
+        self._order = range(num_states) if forward else None
 
     @property
     def finals(self):
@@ -94,12 +122,12 @@ class Automaton:
         return self._arcs[state]
 
     def all_arcs(self) -> Iterator[tuple]:
-        for source, lst in enumerate(self._arcs):
-            for arc in lst:
-                yield source, arc.label, arc.weight, arc.target
+        for source, arcs in enumerate(self._arcs):
+            for label, weight, target in arcs:
+                yield source, label, weight, target
 
     def num_arcs(self) -> int:
-        return sum(len(lst) for lst in self._arcs)
+        return sum(map(len, self._arcs))
 
     def final_weight(self, state: int) -> float:
         return self._finals.get(state, ZERO)
@@ -133,25 +161,38 @@ def validate(a: Automaton) -> ValidationReport:
     of the log semiring (neither NaN nor ``-inf``), and every referenced
     state is in range.
     """
+    labels, weights, targets = (tuple(zip(*chain.from_iterable(a._arcs)))
+                                or ((),) * 3)
+    finals = a.finals
+    # the columns are checked whole; the loops below only word what failed
+    arcs_ok = (min(labels, default=1) > 0
+               and min(targets, default=0) >= 0
+               and max(targets, default=0) < a.num_states
+               and LOG.all_members(weights))
+    finals_ok = (min(finals, default=0) >= 0
+                 and max(finals, default=0) < a.num_states
+                 and LOG.all_members(finals.values()))
     violations = []
     targets_ok = True
-    for source, label, weight, target in a.all_arcs():
-        if label == 0:
-            violations.append(f"epsilon arc {source}->{target} (label 0 is reserved)")
-        elif label < 0:
-            violations.append(f"negative label {label} on arc {source}->{target}")
-        if not 0 <= target < a.num_states:
-            violations.append(f"arc target {target} out of range on arc from {source}")
-            targets_ok = False
-        if not LOG.is_member(weight):
-            violations.append(f"arc weight {weight!r} on {source}->{target} is not "
-                              f"a member of the log semiring")
-    for state, weight in a.finals.items():
-        if not 0 <= state < a.num_states:
-            violations.append(f"final state {state} out of range")
-        if not LOG.is_member(weight):
-            violations.append(f"final weight {weight!r} of state {state} is not "
-                              f"a member of the log semiring")
+    if not arcs_ok:
+        for source, label, weight, target in a.all_arcs():
+            if label == 0:
+                violations.append(f"epsilon arc {source}->{target} (label 0 is reserved)")
+            elif label < 0:
+                violations.append(f"negative label {label} on arc {source}->{target}")
+            if not 0 <= target < a.num_states:
+                violations.append(f"arc target {target} out of range on arc from {source}")
+                targets_ok = False
+            if not LOG.is_member(weight):
+                violations.append(f"arc weight {weight!r} on {source}->{target} is not "
+                                  f"a member of the log semiring")
+    if not finals_ok:
+        for state, weight in finals.items():
+            if not 0 <= state < a.num_states:
+                violations.append(f"final state {state} out of range")
+            if not LOG.is_member(weight):
+                violations.append(f"final weight {weight!r} of state {state} is not "
+                                  f"a member of the log semiring")
     if targets_ok:
         try:
             topological_order(a)
@@ -164,7 +205,10 @@ def topological_order(a: Automaton) -> list:
     """States ordered so every arc goes forward; smallest-id-first among
     ready states, so the result is unique. Raises :class:`CycleError` on
     cyclic input, naming one back arc. The order is computed once per
-    automaton and returned as a fresh list on every call."""
+    automaton and returned as a fresh list on every call. When every arc
+    goes from a smaller to a larger state id, the order is known from
+    construction: it is ``0 .. num_states - 1``, since each state's
+    predecessors all have smaller ids."""
     if a._order is not None:
         return list(a._order)
     indegree = [0] * a.num_states
@@ -212,91 +256,6 @@ def _find_back_arc(a: Automaton) -> str:
     return "?"
 
 
-class SymbolTable:
-    """Bijection between token strings and positive integer labels.
-
-    Only the reserved epsilon token may map to 0; it never labels an arc.
-    """
-
-    def __init__(self, mapping: Optional[dict] = None):
-        self._label_of = {}
-        self._token_of = {}
-        if mapping:
-            for token, label in mapping.items():
-                self.add(token, label)
-
-    def add(self, token: str, label: int) -> None:
-        if token in self._label_of or label in self._token_of:
-            raise ValueError(f"symbol table entry {token!r}/{label} conflicts "
-                             f"with an existing entry")
-        self._label_of[token] = label
-        self._token_of[label] = token
-
-    def label(self, token: str) -> int:
-        return self._label_of[token]
-
-    def token(self, label: int) -> str:
-        return self._token_of[label]
-
-    def has_label(self, label: int) -> bool:
-        return label in self._token_of
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._label_of
-
-    def __len__(self):
-        return len(self._label_of)
-
-    def items(self):
-        return self._label_of.items()
-
-    @classmethod
-    def from_text(cls, text: str) -> "SymbolTable":
-        table = cls()
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ParseError("expected 'token id'", lineno)
-            try:
-                label = int(fields[1])
-            except ValueError:
-                raise ParseError(f"bad symbol id {fields[1]!r}", lineno) from None
-            try:
-                table.add(fields[0], label)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-        return table
-
-    def to_text(self) -> str:
-        lines = [f"{token} {label}" for token, label in
-                 sorted(self._label_of.items(), key=lambda kv: kv[1])]
-        return "\n".join(lines) + "\n" if lines else ""
-
-
-def _parse_int(field: str, what: str, lineno: int) -> int:
-    try:
-        value = int(field)
-    except ValueError:
-        raise ParseError(f"bad {what} {field!r}", lineno) from None
-    if value < 0:
-        raise ParseError(f"negative {what} {field!r}", lineno)
-    return value
-
-
-def _parse_weight(field: str, encoding: Encoding, lineno: int) -> float:
-    try:
-        weight = float(field)
-    except ValueError:
-        raise ParseError(f"bad weight {field!r}", lineno) from None
-    if not encoding.is_member(weight):
-        raise ParseError(f"weight {field!r} is not a member of the "
-                         f"{encoding.name} semiring", lineno)
-    return encoding.to_log(weight)
-
-
 def read_text(text: str, encoding: Encoding,
               symbols: Optional[SymbolTable] = None) -> Automaton:
     """Parse the acceptor text format into an :class:`Automaton`.
@@ -304,50 +263,12 @@ def read_text(text: str, encoding: Encoding,
     Weights are checked against ``encoding`` and stored as ``-ln`` weights.
     The source state of the first record becomes the initial state. Labels
     are looked up in ``symbols`` when given, else parsed as integers; label
-    0 is rejected. Omitted weights default to the semiring one.
+    0 is rejected. Omitted weights default to the semiring one. The first
+    bad record in file order raises :class:`ParseError` with its line
+    number; text without records raises it without one (see
+    :mod:`.textformat`).
     """
-    arcs = []
-    finals = {}
-    initial = None
-    max_state = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) in (1, 2):
-            state = _parse_int(fields[0], "state", lineno)
-            weight = (_parse_weight(fields[1], encoding, lineno)
-                      if len(fields) == 2 else ONE)
-            if state in finals:
-                raise ParseError(f"duplicate final weight for state {state}", lineno)
-            finals[state] = weight
-            max_state = max(max_state, state)
-            if initial is None:
-                initial = state
-        elif len(fields) in (3, 4):
-            src = _parse_int(fields[0], "source state", lineno)
-            dst = _parse_int(fields[1], "target state", lineno)
-            if symbols is not None:
-                try:
-                    label = symbols.label(fields[2])
-                except KeyError:
-                    raise ParseError(f"unknown token {fields[2]!r}", lineno) from None
-            else:
-                label = _parse_int(fields[2], "label", lineno)
-            if label == 0:
-                raise ParseError("label 0 is reserved for epsilon", lineno)
-            weight = (_parse_weight(fields[3], encoding, lineno)
-                      if len(fields) == 4 else ONE)
-            arcs.append((src, label, weight, dst))
-            max_state = max(max_state, src, dst)
-            if initial is None:
-                initial = src
-        else:
-            raise ParseError(f"expected 1-4 fields, got {len(fields)}", lineno)
-    if initial is None:
-        raise ParseError("no records found")
-    return Automaton(encoding, max_state + 1, initial, arcs, finals)
+    return Automaton(encoding, *read_records(text, encoding, symbols))
 
 
 def write_text(a: Automaton, symbols: Optional[SymbolTable] = None) -> str:

@@ -21,7 +21,8 @@ from .distance import backward_distance, forward_distance
 from .errors import BudgetExceededError, EmptyLanguageError, ParseError
 from .latgen import LatticeSpec, bench_csv, bench_run, generate
 from .oracle import oracle_shortest_string
-from .search import shortest_string, shortest_string_via_full_determinization
+from .search import (HEURISTIC_VIEW, shortest_string,
+                     shortest_string_via_full_determinization)
 from .semiring import format_weight, get_semiring
 
 EXIT_OK = 0
@@ -60,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     decode.add_argument("--tolerance", type=float, default=1e-6,
                         help="oracle weight comparison tolerance (default 1e-6)")
     decode.add_argument("--print-distances", action="store_true",
-                        help="print per-state forward and backward distances "
-                             "to stderr")
+                        help="print per-state forward and backward "
+                             "distances and the search's bound to stderr")
     decode.add_argument("--dump-dfa", metavar="FILE",
                         help="write the explored determinized sub-automaton "
                              "to FILE")
@@ -141,10 +142,12 @@ def _cmd_decode(args) -> int:
     if args.print_distances:
         alpha = forward_distance(automaton)
         beta = backward_distance(automaton)
+        bound = backward_distance(automaton, HEURISTIC_VIEW)
         for q in range(automaton.num_states):
             sys.stderr.write(
                 f"distance\t{q}\t{format_weight(encoding.from_log(alpha[q]))}"
-                f"\t{format_weight(encoding.from_log(beta[q]))}\n")
+                f"\t{format_weight(encoding.from_log(beta[q]))}"
+                f"\t{format_weight(encoding.from_log(bound[q]))}\n")
     on_pop = _trace_writer(symbols, encoding.from_log) if args.trace else None
     search = (shortest_string_via_full_determinization if args.full
               else shortest_string)

@@ -117,24 +117,66 @@ def shortest_string_via_full_determinization(
     return _astar(cache, beta_d.__getitem__, on_pop)
 
 
+class _Path:
+    """A label sequence as its last label and a link to its prefix, so a
+    push costs one node instead of a copy of the whole sequence. The heap
+    compares two paths only when their priorities and lengths tie, and
+    then as their label sequences."""
+
+    __slots__ = ("label", "prefix")
+
+    def __init__(self, label, prefix):
+        self.label = label
+        self.prefix = prefix    # None for the empty path
+
+    def labels(self) -> tuple:
+        out = []
+        node = self
+        while node.prefix is not None:   # a loop: no recursion limit
+            out.append(node.label)
+            node = node.prefix
+        out.reverse()
+        return tuple(out)
+
+    def _compare(self, other) -> int:
+        # -1, 0 or 1 as the label sequences compare, for two paths of one
+        # search with equal lengths: both are walked back together to
+        # their shared prefix, and the last difference met is the first
+        # one in string order
+        a, b = self, other
+        result = 0
+        while a is not b:
+            if a.label != b.label:
+                result = -1 if a.label < b.label else 1
+            a, b = a.prefix, b.prefix
+        return result
+
+    def __eq__(self, other):
+        return self._compare(other) == 0
+
+    def __lt__(self, other):
+        return self._compare(other) < 0
+
+
 def _astar(cache: DfaCache, heuristic: Callable[[int], float],
            on_pop: TraceFn | None) -> SearchResult:
     stats = Stats()
     counter = 0
     root = cache.start()
-    # entry: (fscore, string length, labels, counter, handle | None, gscore);
+    # entry: (fscore, string length, path, counter, handle | None, gscore);
     # the unique counter stops comparison before the handle field
-    heap = [(ONE + heuristic(root), 0, (), counter, root, ONE)]
+    heap = [(ONE + heuristic(root), 0, _Path(None, None), counter, root, ONE)]
     stats.pushed = 1
     stats.queue_peak = 1
     best_g = {root: ONE}
     settled = set()
     last_fkey = -float("inf")
     while heap:
-        fkey, _, labels, _, handle, g = heapq.heappop(heap)
+        fkey, length, path, _, handle, g = heapq.heappop(heap)
         if handle is None:
             stats.popped += 1
             stats.subsets_built = cache.num_states
+            labels = path.labels()
             if on_pop is not None:
                 on_pop(None, g, ONE, g, labels)
             return SearchResult(labels, cache.automaton.encoding.from_log(g),
@@ -150,13 +192,12 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
             last_fkey = fkey
         h_here = heuristic(handle)
         if on_pop is not None:
-            on_pop(handle, g, h_here, g + h_here, labels)
+            on_pop(handle, g, h_here, g + h_here, path.labels())
         final = cache.final_weight(handle)
         if final != ZERO:
             g_goal = g + final
             counter += 1
-            heapq.heappush(heap, (g_goal, len(labels), labels, counter,
-                                  None, g_goal))
+            heapq.heappush(heap, (g_goal, length, path, counter, None, g_goal))
             stats.pushed += 1
         for label, weight, target in cache.expand(handle):
             stats.arcs_relaxed += 1
@@ -174,9 +215,8 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
             # equal gscores fall through: a later path may win the
             # shorter-then-lexicographic tie break
             counter += 1
-            heapq.heappush(heap, (g_next + h_next,
-                                  len(labels) + 1, labels + (label,),
-                                  counter, target, g_next))
+            heapq.heappush(heap, (g_next + h_next, length + 1,
+                                  _Path(label, path), counter, target, g_next))
             stats.pushed += 1
         if len(heap) > stats.queue_peak:
             stats.queue_peak = len(heap)

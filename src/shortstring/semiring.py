@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from math import isnan, log
+from operator import neg
+from typing import Callable, Sequence
 
 INF = math.inf
 ZERO = INF  # additive identity; absorbs under times; "no path"
@@ -44,31 +46,55 @@ def log_sum(weights) -> float:
 class Encoding:
     """How weights are written outside the package.
 
-    ``is_member`` accepts the written values a file may hold; ``to_log``
-    maps them to the package's ``-ln`` weights and ``from_log`` back."""
+    ``all_members`` tells whether every value of a column is one a file
+    may hold, and ``to_log_all`` maps a column to the package's ``-ln``
+    weights (for an identity encoding it may return the column itself);
+    ``from_log`` maps one weight back. Columns are checked and converted
+    whole, and the one-value :meth:`is_member` and :meth:`to_log` go
+    through the same functions, so a value is judged and converted alike
+    either way."""
 
     name: str
-    is_member: Callable[[float], bool]
-    to_log: Callable[[float], float]
+    all_members: Callable[[Sequence[float]], bool]
+    to_log_all: Callable[[list], list]
     from_log: Callable[[float], float]
+
+    def is_member(self, value: float) -> bool:
+        return self.all_members((value,))
+
+    def to_log(self, value: float) -> float:
+        return self.to_log_all([value])[0]
 
     def __repr__(self):
         return f"<{self.name} encoding>"
 
 
-def _neg_log(p: float) -> float:
-    return -math.log(p) if p > 0.0 else INF
+def _log_members(values) -> bool:
+    # the reals and +inf; NaN and -inf are rejected. min() may skip a
+    # NaN, so NaN is looked for on its own
+    return min(values, default=0.0) > -INF and not any(map(isnan, values))
 
 
-def _identity(w: float) -> float:
-    return w
+def _real_members(values) -> bool:
+    # finite and non-negative
+    return (min(values, default=0.0) >= 0.0
+            and max(values, default=0.0) < INF
+            and not any(map(isnan, values)))
 
 
-# written log weights: the reals and +inf; NaN and -inf are rejected
-LOG = Encoding("log", lambda w: w > -INF, _identity, _identity)
-# written probabilities: finite and non-negative
-REAL = Encoding("real", lambda p: 0.0 <= p < INF, _neg_log,
-                lambda w: math.exp(-w))
+def _neg_logs(values) -> list:
+    # log(0) raises, and min() may skip a NaN: such columns go one by one
+    if min(values, default=1.0) > 0.0 and not any(map(isnan, values)):
+        return list(map(neg, map(log, values)))
+    return [-log(p) if p > 0.0 else INF for p in values]
+
+
+def _identity(value):
+    return value
+
+
+LOG = Encoding("log", _log_members, _identity, _identity)
+REAL = Encoding("real", _real_members, _neg_logs, lambda w: math.exp(-w))
 
 SEMIRINGS = {LOG.name: LOG, REAL.name: REAL}
 

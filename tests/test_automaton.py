@@ -1,14 +1,18 @@
+import heapq
 import math
+import random
 
 import pytest
 
-from shortstring import (Automaton, CycleError, LOG, ParseError, REAL,
-                         SymbolTable, read_text, topological_order, validate,
-                         write_text)
+from shortstring import (Arc, Automaton, CycleError, LOG, LatticeSpec,
+                         ParseError, REAL, SymbolTable, generate, read_text,
+                         topological_order, validate, write_text)
 
-from conftest import E1_ARCS, E1_SYMBOLS_TEXT, E1_TEXT, make_e1, small_instance
+from conftest import (E1_ARCS, E1_SYMBOLS_TEXT, E1_TEXT, make_e1, random_dag,
+                      small_instance, to_real)
 
 INF = math.inf
+NAN = math.nan
 
 
 class TestConstruction:
@@ -78,10 +82,133 @@ class TestTopologicalOrder:
             topological_order(a)
         assert not validate(a).ok
 
+    def test_ids_not_topological(self):
+        # arc 3 -> 1 goes from a larger to a smaller id
+        a = read_text("0 3 1 0.5\n3 1 2 0.5\n0 2 1 0.5\n2 1 1 0.5\n1\n", LOG)
+        assert topological_order(a) == [0, 2, 3, 1]
+        assert topological_order(a) == kahn_order(a)
+
+    def test_cycle_read_from_text(self):
+        a = read_text("0 1 1 0.5\n1 2 1 0.5\n2 1 1 0.5\n2\n", LOG)
+        message = "cycle detected: arc 2->1 closes a loop"
+        with pytest.raises(CycleError) as info:
+            topological_order(a)
+        assert str(info.value) == message
+        assert validate(a).violations == (message,)
+
+    def test_matches_kahn_on_any_numbering(self):
+        # forward-numbered lattices take the fast path; renumbered copies
+        # of the same lattices go through the sort
+        rng = random.Random(7)
+        for seed in range(40):
+            a = random_dag(seed, LOG)
+            assert topological_order(a) == list(range(a.num_states))
+            assert topological_order(a) == kahn_order(a)
+            perm = list(range(a.num_states))
+            rng.shuffle(perm)
+            b = Automaton(LOG, a.num_states, perm[a.initial],
+                          [(perm[s], lab, w, perm[t])
+                           for s, lab, w, t in a.all_arcs()],
+                          {perm[q]: w for q, w in a.finals.items()})
+            assert topological_order(b) == kahn_order(b)
+
     def test_memoized_order_is_not_shared(self, e1):
         first = topological_order(e1)
         first.reverse()
         assert topological_order(e1) == [0, 1, 2, 3]
+
+
+def kahn_order(a):
+    """Smallest-id-first Kahn order, computed arc by arc: the reference
+    for :func:`topological_order`."""
+    indegree = [0] * a.num_states
+    for _, _, _, target in a.all_arcs():
+        indegree[target] += 1
+    ready = [q for q in range(a.num_states) if indegree[q] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        q = heapq.heappop(ready)
+        order.append(q)
+        for arc in a.arcs(q):
+            indegree[arc.target] -= 1
+            if indegree[arc.target] == 0:
+                heapq.heappush(ready, arc.target)
+    return order
+
+
+def sorted_per_state(num_states, arcs):
+    """Each state's arcs sorted on their own by (label, target, weight),
+    built one Arc at a time: the reference for the stored arc order."""
+    per_state = [[] for _ in range(num_states)]
+    for source, label, weight, target in arcs:
+        if weight != INF:
+            per_state[source].append(Arc(label, weight, target))
+    for arcs_of_state in per_state:
+        arcs_of_state.sort(key=lambda arc: (arc.label, arc.target, arc.weight))
+    return [tuple(arcs_of_state) for arcs_of_state in per_state]
+
+
+class TestArcOrder:
+    @pytest.mark.parametrize("encoding", [LOG, REAL])
+    def test_generated_lattices(self, encoding):
+        for seed in range(25):
+            a = small_instance(seed)
+            if encoding is REAL:
+                a = to_real(a)
+            a = read_text(write_text(a), encoding)
+            expected = sorted_per_state(a.num_states, a.all_arcs())
+            for q in range(a.num_states):
+                arcs = a.arcs(q)
+                assert arcs == expected[q]
+                assert all(type(arc) is Arc for arc in arcs)
+                assert [(arc.label, arc.weight.hex(), arc.target)
+                        for arc in arcs] == \
+                    [(arc.label, arc.weight.hex(), arc.target)
+                     for arc in expected[q]]
+
+    def test_text_longer_than_a_block(self):
+        a = generate(LatticeSpec(depth=400, width=4, vocab=4, merge_prob=0.3,
+                                 seed=5))
+        text = write_text(to_real(a), None)
+        assert len(text.splitlines()) > 6000
+        b = read_text(text, REAL)
+        assert write_text(b) == text
+        assert [b.arcs(q) for q in range(b.num_states)] == \
+            sorted_per_state(b.num_states, b.all_arcs())
+        assert topological_order(b) == list(range(b.num_states))
+
+    def test_shuffled_input(self):
+        rng = random.Random(3)
+        for seed in range(25):
+            arcs = list(random_dag(seed, LOG).all_arcs())
+            arcs += arcs[:3]           # parallel duplicates
+            rng.shuffle(arcs)
+            a = Automaton(LOG, 10, 0, arcs, {})
+            assert [a.arcs(q) for q in range(10)] == sorted_per_state(10, arcs)
+
+    def test_nan_weights_sorted_per_state(self):
+        # NaN compares false both ways, so a state's order depends on the
+        # sequence its arcs are sorted in; each state's arcs are sorted on
+        # their own, in input order
+        arcs = [(0, 0, 0.5, 1), (0, -2, NAN, 5), (1, 1, -INF, 2),
+                (0, 1, 0.5, 1), (0, 1, -INF, 1), (0, 1, NAN, 1),
+                (0, 1, 0.25, 1)]
+        a = Automaton(LOG, 3, 0, arcs, {2: NAN, 7: 0.0})
+        assert [[(arc.label, repr(arc.weight), arc.target) for arc in a.arcs(q)]
+                for q in range(3)] == \
+            [[(arc.label, repr(arc.weight), arc.target) for arc in lst]
+             for lst in sorted_per_state(3, arcs)]
+        assert validate(a).violations == (
+            "negative label -2 on arc 0->5",
+            "arc target 5 out of range on arc from 0",
+            "arc weight nan on 0->5 is not a member of the log semiring",
+            "epsilon arc 0->1 (label 0 is reserved)",
+            "arc weight -inf on 0->1 is not a member of the log semiring",
+            "arc weight nan on 0->1 is not a member of the log semiring",
+            "arc weight -inf on 1->2 is not a member of the log semiring",
+            "final weight nan of state 2 is not a member of the log semiring",
+            "final state 7 out of range")
 
 
 class TestValidate:
@@ -200,6 +327,65 @@ class TestReadText:
     def test_empty_text_rejected(self):
         with pytest.raises(ParseError):
             read_text("# nothing\n", LOG)
+
+    def test_zero_weights_pruned_and_counted(self):
+        for text, encoding in (("0 1 5 0.0\n0 2 5 0.5\n2 0\n1 1.0\n1 2 6\n", REAL),
+                               ("0 1 5 inf\n0 2 5 0.5\n2 inf\n1 0.0\n1 2 6\n", LOG)):
+            a = read_text(text, encoding)
+            assert (a.pruned_arcs, a.pruned_finals) == (1, 1)
+            assert [arc.target for arc in a.arcs(0)] == [2]
+            assert a.arcs(1) == ((6, 0.0, 2),)
+            assert dict(a.finals) == {1: 0.0}
+
+
+# Every message and line number below is the one the line-by-line reader
+# gave; the bulk reader must word each failure the same way.
+BIG = "".join(f"{q} {q + 1} 1 0.5\n" for q in range(5000))
+PARSE_ERRORS = [
+    ("0 x 5 0.5\n", LOG, "line 1: bad target state 'x'", 1),
+    ("x 1 3\n", LOG, "line 1: bad source state 'x'", 1),
+    ("0 1 3 0.5\n1 3 0.5\n", LOG, "line 2: bad label '0.5'", 2),
+    ("0 1 5 0.5\n-1 0.0\n", LOG, "line 2: negative state '-1'", 2),
+    ("0 -1 3 0.5\n", LOG, "line 1: negative target state '-1'", 1),
+    ("0 1 -3 0.5\n", LOG, "line 1: negative label '-3'", 1),
+    ("0 1 0 0.5\n1\n", LOG, "line 1: label 0 is reserved for epsilon", 1),
+    ("0 1 5 nan\n", LOG,
+     "line 1: weight 'nan' is not a member of the log semiring", 1),
+    ("0 1 5 -inf\n", LOG,
+     "line 1: weight '-inf' is not a member of the log semiring", 1),
+    ("0 1 5 -0.25\n", REAL,
+     "line 1: weight '-0.25' is not a member of the real semiring", 1),
+    ("0 1 5 inf\n", REAL,
+     "line 1: weight 'inf' is not a member of the real semiring", 1),
+    ("0 1 5\n1 0.5\n1 0.7\n", LOG,
+     "line 3: duplicate final weight for state 1", 3),
+    ("0 1 5 0.5 9\n", LOG, "line 1: expected 1-4 fields, got 5", 1),
+    ("# c\n\n0 1 5 0.5 1\n", LOG, "line 3: expected 1-4 fields, got 5", 3),
+    ("", LOG, "no records found", None),
+    ("# only\n\n", LOG, "no records found", None),
+    (BIG[:BIG.index("1000 1001")] + "1000 x\n", LOG,
+     "line 1001: bad weight 'x'", 1001),
+    (BIG + "5000 x\n", LOG, "line 5001: bad weight 'x'", 5001),
+    # the weight column fails in the bulk path, the source column on a
+    # later line: the first bad line is reported
+    ("0 1 5 abc\n-1 2 5 0.5\n", LOG, "line 1: bad weight 'abc'", 1),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text, encoding, message, line", PARSE_ERRORS)
+    def test_message_and_line(self, text, encoding, message, line):
+        with pytest.raises(ParseError) as info:
+            read_text(text, encoding)
+        assert str(info.value) == message
+        assert info.value.line == line
+
+    def test_unknown_token(self):
+        symbols = SymbolTable.from_text("a 1\n")
+        with pytest.raises(ParseError) as info:
+            read_text("0 1 a 0.5\n1 2 zzz\n2\n", LOG, symbols)
+        assert str(info.value) == "line 2: unknown token 'zzz'"
+        assert info.value.line == 2
 
 
 class TestWriteText:

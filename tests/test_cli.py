@@ -188,8 +188,12 @@ class TestDecode:
         assert code == 0
         lines = [line for line in err.splitlines() if line.startswith("distance\t")]
         assert len(lines) == 4
-        assert lines[0].split("\t") == ["distance", "0", "0", "0.0467134447"]
+        # forward, backward (merged) mass, and the search's string bound,
+        # which is the root's h in --trace
+        assert lines[0].split("\t") == ["distance", "0", "0", "0.0467134447",
+                                        "0.601861131"]
         assert lines[3].split("\t")[2] == "0.0467134447"  # alpha at the final
+        assert [line.split("\t")[4] for line in lines[1:]] == ["0.7", "0.9", "0"]
 
     def test_print_distances_renders_infinities(self, capsys, tmp_path):
         path = tmp_path / "dead.lat"
@@ -197,7 +201,7 @@ class TestDecode:
         code, _, err = run(capsys, "decode", str(path), "--print-distances")
         assert code == 2  # still an empty language
         lines = [line for line in err.splitlines() if line.startswith("distance\t")]
-        assert lines[0].split("\t")[3] == "+inf"
+        assert lines[0].split("\t")[3:] == ["+inf", "+inf"]
 
     def test_dump_dfa(self, capsys, tmp_path, e1_file, symbols_file):
         dump = tmp_path / "sub.dfa"
@@ -254,6 +258,20 @@ class TestBench:
                            "--budget", "3")
         assert code == 0
         assert any(line.endswith(",budget") for line in out.splitlines())
+
+    def test_lazy_decode_within_budget_is_ok(self, capsys):
+        # the lazy search settles at most 827 subsets on each; only the
+        # exhaustive count passes the budget, and it is left blank
+        code, out, _ = run(capsys, "bench", "--depths", "25", "--width", "5",
+                           "--vocab", "3", "--merge-prob", "0.2",
+                           "--seeds", "3", "--budget", "5000")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:-1]]
+        assert len(rows) == 3
+        for row in rows:
+            assert row[-1] == "ok"
+            assert row[5] == ""
+            assert 0 < int(row[6]) <= 827
 
     def test_deterministic_modulo_wall_time(self, capsys):
         args = ("bench", "--depths", "3,5", "--width", "2", "--vocab", "2",

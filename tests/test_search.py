@@ -151,6 +151,34 @@ class TestTieBreaks:
         assert result.weight == 1.0
         assert oracle_shortest_string(a)[0] == (1, 3)
 
+    def test_long_tie_breaks_lexicographically(self):
+        # two strings of 2,001 labels and weight 500.75, exact in binary,
+        # that differ at position 0: (1, 2, 2, ...) and (2, 1, 1, ...). The
+        # larger one's last state also has two label-5 arcs whose merged
+        # mass loosens the bound there, so its goal is pushed first and
+        # insertion order alone would pick it; the paths are long enough
+        # that a recursive comparison would pass the recursion limit
+        n = 2000
+        arcs = []
+        small = list(range(1, n + 1))
+        large = list(range(n + 1, 2 * n + 1))
+        last_small, last_large, end = 2 * n + 1, 2 * n + 2, 2 * n + 3
+        for states, first, rest, last in ((small, 1, 2, last_small),
+                                          (large, 2, 1, last_large)):
+            prev = 0
+            for i, q in enumerate(states):
+                arcs.append((prev, first if i == 0 else rest, 0.25, q))
+                prev = q
+            arcs.append((prev, rest, 0.25, last))
+        arcs += [(last_large, 5, 0.3, end), (last_large, 5, 0.3, end + 1),
+                 (end, 7, 0.3, end + 2), (end + 1, 8, 0.3, end + 2)]
+        a = Automaton(LOG, end + 3, 0, arcs,
+                      {last_small: 0.5, last_large: 0.5, end + 2: 0.0})
+        assert backward_distance(a, "string")[last_large] < 0.5
+        result = shortest_string(a)
+        assert result.weight == 500.75
+        assert result.labels == (1,) + (2,) * n
+
 
 class TestDifferential:
     def test_matches_oracle(self):

@@ -105,6 +105,27 @@ class TestRealOps:
             assert "not a member" in str(info.value)
 
 
+EDGE_VALUES = [0.0, -0.0, 5e-324, 0.25, 1.0, 2.5, 1e308, -1e-300, -0.5,
+               -30.0, INF, -INF, math.nan]
+
+
+@pytest.mark.parametrize("encoding", [LOG, REAL])
+def test_columns_judged_as_their_values(encoding):
+    # a column is a member exactly when each of its values is, wherever a
+    # NaN sits in it (min() skips a NaN that is not first), and a column
+    # converts to the values' own conversions
+    rng = random.Random(11)
+    for _ in range(2000):
+        column = [rng.choice(EDGE_VALUES) for _ in range(rng.randint(0, 5))]
+        members = [encoding.all_members([value]) for value in column]
+        assert encoding.all_members(column) == all(members)
+        kept = [value for value, ok in zip(column, members) if ok]
+        got = encoding.to_log_all(list(kept))
+        want = [encoding.to_log(value) for value in kept]
+        assert [w.hex() for w in got] == [w.hex() for w in want]
+    assert REAL.to_log_all([0.5, 0.0, 1.0]) == [math.log(2), INF, 0.0]
+
+
 def test_real_round_trip_property():
     # p -> -ln p on reading and back on writing, for probabilities from
     # subnormal to above one; a log file round-trips bit for bit
