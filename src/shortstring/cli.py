@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     decode.add_argument("--oracle", action="store_true",
                         help="cross-check against brute-force enumeration")
     decode.add_argument("--stats", action="store_true",
-                        help="print search statistics as JSON to stderr")
+                        help="print search statistics as JSON to stderr, "
+                             "also on exits 2 and 4")
     decode.add_argument("--trace", action="store_true",
                         help="print one line per popped state to stderr")
     decode.add_argument("--full", action="store_true",
@@ -154,12 +155,12 @@ def _cmd_decode(args) -> int:
     cache = DfaCache(automaton, args.delta_det, args.budget)
     try:
         result = search(automaton, on_pop=on_pop, cache=cache)
-    except EmptyLanguageError as exc:
+    except (EmptyLanguageError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        if args.stats:
+            print(json.dumps(exc.stats.as_dict()), file=sys.stderr)
+        return (EXIT_EMPTY if isinstance(exc, EmptyLanguageError)
+                else EXIT_BUDGET)
     if args.dump_dfa:
         try:
             with open(args.dump_dfa, "w", encoding="utf-8") as handle:

@@ -53,8 +53,6 @@ class DfaCache:
         self._subsets = []      # handle -> tuple[(state, residual), ...]
         self._index = {}        # canonical key -> handle
         self._arcs = {}         # handle -> tuple[(label, weight, target handle), ...]
-        self._finals = {}       # handle -> final weight
-        self._heuristics = {}   # handle -> heuristic weight
         self._intern(((automaton.initial, ONE),))
 
     def start(self) -> int:
@@ -93,51 +91,48 @@ class DfaCache:
                         bucket[target] = other - log1p(exp(other - mass))
                 else:
                     bucket[target] = mass
+        index = self._index
         out = []
         for label in sorted(per_label):
             bucket = per_label[label]
             if len(bucket) == 1:
                 ((target, divisor),) = bucket.items()
+                # a lone member's pairs ((t, 0.0),) equal and hash as its
+                # cell key ((t, 0),), so the index answers without _key
                 pairs = ((target, ONE),)
+                successor = index.get(pairs)
+                if successor is None:
+                    successor = self._intern(pairs)
             else:
                 masses = bucket.values()
                 best = min(masses)
                 divisor = best - log(sum([exp(best - mass) for mass in masses]))
-                pairs = tuple((target, bucket[target] - divisor)
-                              for target in sorted(bucket))
-            out.append((label, divisor, self._intern(pairs)))
+                successor = self._intern(tuple(
+                    (target, bucket[target] - divisor)
+                    for target in sorted(bucket)))
+            out.append((label, divisor, successor))
         result = tuple(out)
         self._arcs[handle] = result
         return result
 
     def final_weight(self, handle: int) -> float:
         """Semiring sum of residual times member final weight; zero when no
-        member is final. Memoized."""
-        memo = self._finals.get(handle)
-        if memo is not None:
-            return memo
+        member is final. Not memoized: the search asks once per subset."""
         finals = self.automaton.finals
-        acc = log_sum([residual + finals[state]
-                       for state, residual in self._subsets[handle]
-                       if state in finals])
-        self._finals[handle] = acc
-        return acc
+        return log_sum([residual + finals[state]
+                        for state, residual in self._subsets[handle]
+                        if state in finals])
 
     def heuristic(self, handle: int, backward: DistanceTable) -> float:
         """Remaining-mass estimate of a subset: the semiring sum of residual
         times the member's value in a backward table of the source
-        automaton.
+        automaton. Not memoized: the search asks once per subset.
 
-        ``backward`` must be the same table on every call for this cache
-        (the memo does not key on it). The estimate is admissible and
-        consistent when each member's value is at most its final weight
-        and, for each label, at most the log-sum of its arcs with that
-        label into their targets' values: the ``"string"`` view the
-        search uses, or the looser ``"base"`` view (see
-        :mod:`.distance`)."""
-        memo = self._heuristics.get(handle)
-        if memo is not None:
-            return memo
+        The estimate is admissible and consistent when each member's value
+        is at most its final weight and, for each label, at most the
+        log-sum of its arcs with that label into their targets' values:
+        the ``"string"`` view the search uses, or the looser ``"base"``
+        view (see :mod:`.distance`)."""
         beta = backward.values
         subset = self._subsets[handle]
         if len(subset) == 1:
@@ -150,7 +145,6 @@ class DfaCache:
                 acc = best - log(sum([exp(best - cost) for cost in costs]))
             else:
                 acc = best
-        self._heuristics[handle] = acc
         return acc
 
     def full_expand(self) -> int:

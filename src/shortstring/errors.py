@@ -18,6 +18,10 @@ class ParseError(ValueError):
 class EmptyLanguageError(ValueError):
     """The automaton accepts no string at all."""
 
+    stats = None    # the search's Stats when the search raised it
+
 
 class BudgetExceededError(RuntimeError):
     """A configured state or path budget was exhausted."""
+
+    stats = None    # the search's Stats when the search raised it

@@ -15,6 +15,34 @@ heuristic never overestimates the best completion and never
 overestimates any single step, so the first goal popped is the best
 string and every subset is settled at most once.
 
+A popped subset is skipped, counted in :attr:`Stats.dominated`, when an
+already expanded subset over the same member states beats it on every
+member. A subset's future depends only on the forward mass that its
+prefix carries into each member: popped with gscore g, the member
+``(q, r_q)`` carries ``α_q = g + r_q``, and a completion z (a label
+string, its final weight included) weighs ``log_sum_q(α_q + w_q(z))``,
+where ``w_q(z)`` is the merged weight of z from q in the source
+automaton. That sum is monotone in each ``α_q`` and moves with a common
+shift, so if an expanded S′ has ``α′_q + m < α_q`` for every member q,
+then every ``S′·z`` weighs at least m less than ``S·z``. The search sees
+these weights through interned subsets: a successor takes the residuals
+of the cell it lands in (see :mod:`.determinize`), each within the
+tolerance δ of its own, so each step moves the weight of a completion
+by less than δ, on the side of S and of S′ alike. A completion in an
+acyclic automaton of N states has fewer than N steps, so the margin
+
+    m = 2·δ·N + ORDER_SLACK·max(1, |α_q|)
+
+leaves S′·z strictly lighter than S·z as the search computes them,
+the second term covering float rounding in the gscore sums. No string
+through S can then be best or tie the best, and skipping S keeps the
+answer, its weight and the tie break on every input. The expanded
+masses are kept per member-state set and never dropped: the lazy
+search's f = log_sum_q(α_q + u(q)) is monotone in the masses too, and
+pops come in nondecreasing f, so a later pop never beats an earlier one
+on every member. A subset with one member is never compared: its
+residual is zero, so there is one subset per state.
+
 Goals are handled with a virtual super-final hop: a final subset may
 still have outgoing arcs whose continuations beat stopping there, so
 popping the subset itself proves nothing; popping its super-final entry
@@ -28,15 +56,16 @@ only :attr:`SearchResult.weight` is converted back to it.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import lt
 from typing import Callable, Optional
 
 from .automaton import Automaton
 from .determinize import DfaCache, materialize
 from .distance import backward_distance
-from .errors import EmptyLanguageError
-from .semiring import ONE, ZERO, format_weight
+from .errors import BudgetExceededError, EmptyLanguageError
+from .semiring import INF, ONE, ZERO, format_weight
 
 # The backward view of the source automaton that the heuristic is built
 # from (see :mod:`.distance` for why it is admissible and consistent).
@@ -51,19 +80,21 @@ ORDER_SLACK = 1e-9
 
 @dataclass
 class Stats:
-    popped: int = 0          # settled subsets, super-final pop included
+    popped: int = 0          # expanded subsets, super-final pop included
     pushed: int = 0
     subsets_built: int = 0
     queue_peak: int = 0
     arcs_relaxed: int = 0
     order_violations: int = 0  # pops whose priority fell beyond ORDER_SLACK
+    dominated: int = 0       # popped subsets skipped by dominance
 
     def as_dict(self) -> dict:
         return {"popped": self.popped, "pushed": self.pushed,
                 "subsets_built": self.subsets_built,
                 "queue_peak": self.queue_peak,
                 "arcs_relaxed": self.arcs_relaxed,
-                "order_violations": self.order_violations}
+                "order_violations": self.order_violations,
+                "dominated": self.dominated}
 
 
 @dataclass(frozen=True)
@@ -88,14 +119,18 @@ def shortest_string(a: Automaton, *, residual_tolerance: float = 1e-6,
     reaches are ever built. Pass ``cache`` to keep the explored machine
     around afterwards (it must wrap ``a``; its own tolerance and budget
     then apply). Raises :class:`EmptyLanguageError` when no complete path
-    exists and :class:`BudgetExceededError` past the subset budget.
+    exists and :class:`BudgetExceededError` past the subset budget; either
+    carries the search's :class:`Stats` as ``stats``.
     """
-    bound = backward_distance(a, HEURISTIC_VIEW)
-    if bound[a.initial] == ZERO:
-        raise EmptyLanguageError("the automaton accepts no string")
     if cache is None:
         cache = DfaCache(a, residual_tolerance, state_budget)
-    return _astar(cache, lambda handle: cache.heuristic(handle, bound), on_pop)
+    stats = Stats()
+    with _Reported(stats, cache):
+        bound = backward_distance(a, HEURISTIC_VIEW)
+        if bound[a.initial] == ZERO:
+            raise EmptyLanguageError("the automaton accepts no string")
+        return _astar(cache, lambda handle: cache.heuristic(handle, bound),
+                      on_pop, stats)
 
 
 def shortest_string_via_full_determinization(
@@ -109,25 +144,55 @@ def shortest_string_via_full_determinization(
     as :func:`shortest_string` at strictly more determinization work."""
     if cache is None:
         cache = DfaCache(a, residual_tolerance, state_budget)
-    cache.full_expand()
-    dfa = materialize(cache)
-    beta_d = backward_distance(dfa, "base")
-    if beta_d[cache.start()] == ZERO:
-        raise EmptyLanguageError("the automaton accepts no string")
-    return _astar(cache, beta_d.__getitem__, on_pop)
+    stats = Stats()
+    with _Reported(stats, cache):
+        cache.full_expand()
+        dfa = materialize(cache)
+        beta_d = backward_distance(dfa, "base")
+        if beta_d[cache.start()] == ZERO:
+            raise EmptyLanguageError("the automaton accepts no string")
+        return _astar(cache, beta_d.__getitem__, on_pop, stats)
+
+
+class _Reported:
+    """Counts the built subsets on every exit from the block, and hands
+    ``stats`` to a search error passing through."""
+
+    __slots__ = ("stats", "cache")
+
+    def __init__(self, stats: Stats, cache: DfaCache):
+        self.stats = stats
+        self.cache = cache
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, error, traceback):
+        self.stats.subsets_built = self.cache.num_states
+        if isinstance(error, (EmptyLanguageError, BudgetExceededError)):
+            error.stats = self.stats
+        return False
 
 
 class _Path:
     """A label sequence as its last label and a link to its prefix, so a
     push costs one node instead of a copy of the whole sequence. The heap
     compares two paths only when their priorities and lengths tie, and
-    then as their label sequences."""
+    then as their label sequences.
 
-    __slots__ = ("label", "prefix")
+    Each node remembers the last path it was compared with and the
+    outcome. Two paths that differ in a prefix compare as those prefixes
+    do, so a walk back that meets a remembered pair stops there: paths
+    that keep tying while they grow, which the heap compares again after
+    every step, cost one step per comparison instead of their length."""
+
+    __slots__ = ("label", "prefix", "other", "result")
 
     def __init__(self, label, prefix):
         self.label = label
         self.prefix = prefix    # None for the empty path
+        self.other = None       # the path last compared with, if any
+        self.result = 0         # and how this one compared with it
 
     def labels(self) -> tuple:
         out = []
@@ -141,14 +206,23 @@ class _Path:
     def _compare(self, other) -> int:
         # -1, 0 or 1 as the label sequences compare, for two paths of one
         # search with equal lengths: both are walked back together to
-        # their shared prefix, and the last difference met is the first
-        # one in string order
+        # their shared prefix or a remembered pair, and the last
+        # difference met is the first one in string order unless the
+        # remembered prefixes differ
         a, b = self, other
         result = 0
         while a is not b:
+            if a.other is b:
+                result = a.result or result
+                break
+            if b.other is a:
+                result = -b.result or result
+                break
             if a.label != b.label:
                 result = -1 if a.label < b.label else 1
             a, b = a.prefix, b.prefix
+        self.other, self.result = other, result
+        other.other, other.result = self, -result
         return result
 
     def __eq__(self, other):
@@ -158,65 +232,95 @@ class _Path:
         return self._compare(other) < 0
 
 
+# best_g value of a handle never to be pushed again: settled, or a dead
+# end (no completion exists from there); every gscore compares above it
+_CLOSED = -INF
+
+
 def _astar(cache: DfaCache, heuristic: Callable[[int], float],
-           on_pop: TraceFn | None) -> SearchResult:
-    stats = Stats()
+           on_pop: TraceFn | None, stats: Stats) -> SearchResult:
+    subset = cache.subset
+    # dominance margin that does not depend on the masses: interned
+    # residuals move by less than the tolerance per step, on both sides,
+    # and a completion has fewer steps than the automaton has states
+    drift = 2.0 * cache.residual_tolerance * cache.automaton.num_states
+    # member states -> (gscore, residuals) of the expanded subsets over
+    # them; a member's forward mass is gscore + residual
+    fronts = {}
+    h = []          # handle -> heuristic
+    best_g = []     # handle -> best gscore pushed, or _CLOSED
+    for handle in range(cache.num_states):
+        h_new = heuristic(handle)
+        h.append(h_new)
+        best_g.append(_CLOSED if h_new == ZERO else ZERO)
     counter = 0
     root = cache.start()
+    best_g[root] = ONE
     # entry: (fscore, string length, path, counter, handle | None, gscore);
     # the unique counter stops comparison before the handle field
-    heap = [(ONE + heuristic(root), 0, _Path(None, None), counter, root, ONE)]
+    heap = [(ONE + h[root], 0, _Path(None, None), counter, root, ONE)]
     stats.pushed = 1
     stats.queue_peak = 1
-    best_g = {root: ONE}
-    settled = set()
-    last_fkey = -float("inf")
+    last_fkey = -INF
     while heap:
-        fkey, length, path, _, handle, g = heapq.heappop(heap)
+        fkey, length, path, _, handle, g = heappop(heap)
         if handle is None:
             stats.popped += 1
-            stats.subsets_built = cache.num_states
             labels = path.labels()
             if on_pop is not None:
                 on_pop(None, g, ONE, g, labels)
             return SearchResult(labels, cache.automaton.encoding.from_log(g),
                                 stats)
-        if handle in settled:
+        if best_g[handle] == _CLOSED:
             continue
-        settled.add(handle)
+        best_g[handle] = _CLOSED
+        members = subset(handle)
+        if len(members) > 1:
+            # a lone member's subset has one handle, so only larger ones
+            # can meet another subset over the same states
+            states, residuals = zip(*members)
+            front = fronts.get(states)
+            if front is None:
+                fronts[states] = [(g, residuals)]
+            else:
+                limits = [alpha - drift - ORDER_SLACK * max(1.0, abs(alpha))
+                          for alpha in map(g.__add__, residuals)]
+                if any(all(map(lt, map(g_old.__add__, old), limits))
+                       for g_old, old in front):
+                    stats.dominated += 1
+                    continue
+                front.append((g, residuals))
         stats.popped += 1
         # consistent heuristic: pop priorities never decrease
         if fkey < last_fkey - ORDER_SLACK * max(1.0, abs(last_fkey)):
             stats.order_violations += 1
         elif fkey > last_fkey:
             last_fkey = fkey
-        h_here = heuristic(handle)
         if on_pop is not None:
-            on_pop(handle, g, h_here, g + h_here, path.labels())
+            on_pop(handle, g, h[handle], g + h[handle], path.labels())
         final = cache.final_weight(handle)
         if final != ZERO:
             g_goal = g + final
             counter += 1
-            heapq.heappush(heap, (g_goal, length, path, counter, None, g_goal))
+            heappush(heap, (g_goal, length, path, counter, None, g_goal))
             stats.pushed += 1
-        for label, weight, target in cache.expand(handle):
-            stats.arcs_relaxed += 1
-            if target in settled:
-                continue
-            h_next = heuristic(target)
-            if h_next == ZERO:
-                continue  # dead end: no completion exists from there
+        arcs = cache.expand(handle)
+        stats.arcs_relaxed += len(arcs)
+        for fresh in range(len(h), cache.num_states):
+            h_new = heuristic(fresh)
+            h.append(h_new)
+            best_g.append(_CLOSED if h_new == ZERO else ZERO)
+        length += 1
+        for label, weight, target in arcs:
             g_next = g + weight
-            old = best_g.get(target)
-            if old is None or g_next < old:
-                best_g[target] = g_next
-            elif g_next != old:
-                continue  # strictly worse than the known path
-            # equal gscores fall through: a later path may win the
+            if g_next > best_g[target]:
+                continue  # strictly worse than the known path, or closed
+            # equal gscores go on: a later path may win the
             # shorter-then-lexicographic tie break
+            best_g[target] = g_next
             counter += 1
-            heapq.heappush(heap, (g_next + h_next, length + 1,
-                                  _Path(label, path), counter, target, g_next))
+            heappush(heap, (g_next + h[target], length, _Path(label, path),
+                            counter, target, g_next))
             stats.pushed += 1
         if len(heap) > stats.queue_peak:
             stats.queue_peak = len(heap)
@@ -260,18 +364,18 @@ def heuristic_audit(a: Automaton, *, tolerance: float = 1e-9,
     count = cache.full_expand()
     dfa = materialize(cache)
     beta_hat = backward_distance(dfa, "companion")
+    h = [cache.heuristic(handle, table) for handle in range(count)]
     admissibility = []
     consistency = []
     arcs_checked = 0
-    for handle in range(count):
-        h_here = cache.heuristic(handle, table)
+    for handle, h_here in enumerate(h):
         if h_here > beta_hat[handle] + tolerance:
             admissibility.append(
                 f"state {handle}: heuristic {format_weight(h_here)} exceeds "
                 f"best completion {format_weight(beta_hat[handle])}")
         for label, weight, target in cache.expand(handle):
             arcs_checked += 1
-            bound = weight + cache.heuristic(target, table)
+            bound = weight + h[target]
             if h_here > bound + tolerance:
                 consistency.append(
                     f"arc {handle}-{label}->{target}: heuristic "

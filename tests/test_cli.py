@@ -72,8 +72,10 @@ class TestDecode:
         assert code == 0
         stats = json.loads(err.strip())
         assert set(stats) == {"popped", "pushed", "subsets_built",
-                              "queue_peak", "arcs_relaxed", "order_violations"}
+                              "queue_peak", "arcs_relaxed", "order_violations",
+                              "dominated"}
         assert stats["order_violations"] == 0
+        assert stats["dominated"] == 0
         assert stats["popped"] == 4
 
     def test_trace(self, capsys, e1_file, symbols_file):
@@ -163,6 +165,26 @@ class TestDecode:
         code, _, err = run(capsys, "decode", e1_numeric_file, "--budget", "1")
         assert code == 4
         assert "budget" in err
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_stats_json_on_budget_exit(self, capsys, e1_numeric_file, full):
+        code, _, err = run(capsys, "decode", e1_numeric_file, "--stats",
+                           "--budget", "2", *(["--full"] if full else []))
+        assert code == 4
+        lines = err.strip().splitlines()
+        assert "budget" in lines[0]
+        stats = json.loads(lines[-1])
+        assert stats["subsets_built"] == 2
+        assert stats["popped"] == (0 if full else 1)
+
+    def test_stats_json_on_empty_exit(self, capsys, tmp_path):
+        path = tmp_path / "empty.lat"
+        path.write_text("0 1 5 0.5\n")
+        code, _, err = run(capsys, "decode", str(path), "--stats")
+        assert code == 2
+        stats = json.loads(err.strip().splitlines()[-1])
+        assert stats["subsets_built"] == 1
+        assert stats["popped"] == 0
 
     def test_nonpositive_budget_rejected(self, capsys, e1_numeric_file):
         code, _, err = run(capsys, "decode", e1_numeric_file, "--budget", "0")

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from shortstring import (Automaton, BudgetExceededError, DfaCache,
                          heuristic_audit, oracle_shortest_string,
                          shortest_string,
                          shortest_string_via_full_determinization)
+from shortstring.search import _Path
 
 from conftest import SIGMA_AB, random_dag, small_instance, to_real
 
@@ -85,6 +87,18 @@ class TestSmallCases:
     def test_budget(self, e1):
         with pytest.raises(BudgetExceededError):
             shortest_string(e1, state_budget=1)
+
+    @pytest.mark.parametrize("search", [
+        shortest_string, shortest_string_via_full_determinization])
+    def test_errors_carry_stats(self, e1, search):
+        with pytest.raises(BudgetExceededError) as info:
+            search(e1, state_budget=2)
+        assert info.value.stats.subsets_built == 2
+        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {})
+        with pytest.raises(EmptyLanguageError) as info:
+            search(a)
+        assert info.value.stats.subsets_built >= 1
+        assert info.value.stats.popped == 0
 
     def test_real_semiring(self, e1):
         result = shortest_string(to_real(e1))
@@ -178,6 +192,93 @@ class TestTieBreaks:
         result = shortest_string(a)
         assert result.weight == 500.75
         assert result.labels == (1,) + (2,) * n
+
+
+class TestDominance:
+    # two prefixes reach the member states {1, 2} with different residuals,
+    # so as two subsets; the string bound is loose on both (its members
+    # go on with different labels), so both pop before the goal
+    @staticmethod
+    def two_prefixes(first, second, tolerance):
+        # label 2 reaches states 1 and 2 with forward masses ``first``,
+        # label 1 with ``second``; state 1 goes on with label 3, state 2
+        # with label 4
+        (a1, a2), (b1, b2) = first, second
+        arcs = [(0, 2, a1, 1), (0, 2, a2, 2), (0, 1, b1, 1), (0, 1, b2, 2),
+                (1, 3, 0.5, 3), (2, 4, 0.5, 3)]
+        a = Automaton(LOG, 4, 0, arcs, {3: 0.0})
+        pops = []
+        result = shortest_string(a, residual_tolerance=tolerance,
+                                 on_pop=lambda h, *rest: pops.append(h))
+        assert result.stats.popped == len(pops)
+        labels, weight = oracle_shortest_string(a)
+        assert result.labels == labels
+        assert approx_eq(result.weight, weight, 1e-12)
+        return result
+
+    def test_dominated_prefix_is_skipped(self):
+        result = self.two_prefixes((1.0, 1.2), (1.2, 1.7), 1e-6)
+        assert result.stats.dominated == 1
+        assert result.labels == (2, 3)
+        assert result.stats.popped == result.stats.subsets_built
+
+    def test_equal_mass_is_not_pruned(self):
+        # the label-1 subset ties on state 1 and loses on state 2, so the
+        # strings (1, 3), (2, 3) and (2, 4) tie and the smallest one wins
+        result = self.two_prefixes((1.0, 1.0), (1.0, 1.5), 0.0)
+        assert result.stats.dominated == 0
+        assert result.labels == (1, 3)
+        assert result.weight == 1.5
+
+    @pytest.mark.parametrize("gap, tolerance, dominated", [
+        (4e-10, 0.0, 0), (1e-6, 0.0, 1), (1e-3, 1e-3, 0), (1e-2, 1e-3, 1)])
+    def test_margin(self, gap, tolerance, dominated):
+        # the margin is 2 * tolerance * 4 states + ORDER_SLACK (1e-9) here
+        result = self.two_prefixes((1.0, 1.0), (1.0 + gap, 1.5), tolerance)
+        assert result.stats.dominated == dominated
+        assert result.labels == (2, 3)
+
+    def test_deep_shape_fits_a_small_budget(self):
+        # the deep benchmark shape at depth 100: without dominance these
+        # need up to 1,590 subsets, with it at most 530
+        for seed in range(5):
+            a = generate(LatticeSpec(depth=100, width=4, vocab=4, skew=3.0,
+                                     seed=seed))
+            result = shortest_string(a, state_budget=800)
+            assert len(result.labels) == 100
+            assert result.stats.dominated > 0
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-6])
+    def test_deep_shape_matches_oracle(self, tolerance):
+        for seed in range(10):
+            a = generate(LatticeSpec(depth=7, width=4, vocab=4, skew=3.0,
+                                     seed=seed))
+            got = shortest_string(a, residual_tolerance=tolerance)
+            labels, weight = oracle_shortest_string(a)
+            assert got.labels == labels
+            assert approx_eq(got.weight, weight, 1e-9)
+            full = shortest_string_via_full_determinization(
+                a, residual_tolerance=tolerance)
+            assert full.labels == labels
+            assert full.weight == got.weight
+
+
+class TestPathOrder:
+    def test_matches_label_tuples(self):
+        # random trees of paths compared in random order, so that
+        # remembered outcomes are met at every depth
+        rng = random.Random(0)
+        for _ in range(50):
+            layers = [[_Path(None, None)]]
+            for _ in range(rng.randint(1, 12)):
+                layers.append([_Path(rng.randint(1, 3), rng.choice(layers[-1]))
+                               for _ in range(rng.randint(1, 4))])
+                layer = layers[-1]
+                for _ in range(10):
+                    x, y = rng.choice(layer), rng.choice(layer)
+                    want = x.labels() < y.labels()
+                    assert (x < y) == want
+                    assert (x == y) == (x.labels() == y.labels())
 
 
 class TestDifferential:
