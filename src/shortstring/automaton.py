@@ -21,6 +21,7 @@ known when the automaton is built.
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby, repeat
@@ -30,8 +31,13 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import CycleError
-from .semiring import LOG, ZERO, Encoding
+from .semiring import INF, LOG, ZERO, Encoding
 from .textformat import SymbolTable, read_records
+
+
+# validate() bounds path sums by half the largest float in magnitude, so
+# that their differences (residuals) are finite too
+SUM_LIMIT = sys.float_info.max / 2
 
 
 class Arc(NamedTuple):
@@ -158,8 +164,11 @@ def validate(a: Automaton) -> ValidationReport:
     """Check the full acceptor contract; reports every violation found.
 
     A valid automaton is acyclic and epsilon-free, every weight is a member
-    of the log semiring (neither NaN nor ``-inf``), and every referenced
-    state is in range.
+    of the log semiring (neither NaN nor ``-inf``), every referenced state
+    is in range, and every path from a state the initial one reaches sums
+    to at most ``SUM_LIMIT`` in magnitude, its final weight included or
+    not, so that no sum the decoders form, nor a residual, overflows to a
+    false ``+inf`` (no path) or ``-inf``.
     """
     labels, weights, targets = (tuple(zip(*chain.from_iterable(a._arcs)))
                                 or ((),) * 3)
@@ -195,10 +204,41 @@ def validate(a: Automaton) -> ValidationReport:
                                   f"a member of the log semiring")
     if targets_ok:
         try:
-            topological_order(a)
+            order = topological_order(a)
         except CycleError as exc:
             violations.append(str(exc))
+        else:
+            # a path sums at most num_states weights, which bounds most
+            # automata without a pass
+            if arcs_ok and finals_ok and a.num_states * max(
+                    max(weights, default=0.0), -min(weights, default=0.0),
+                    *map(abs, finals.values())) > SUM_LIMIT:
+                low, high = _path_sum_range(a, order)
+                if not -SUM_LIMIT <= low <= high <= SUM_LIMIT:
+                    violations.append(
+                        f"path weights sum to {low!r} .. {high!r}, beyond "
+                        f"±{SUM_LIMIT!r} (half the float range)")
     return ValidationReport(tuple(violations))
+
+
+def _path_sum_range(a: Automaton, order: list) -> tuple:
+    # smallest and largest sums of the paths from reachable states, with
+    # and without the final weight; low[q] .. high[q] spans those into q
+    low = [INF] * a.num_states
+    high = [-INF] * a.num_states
+    low[a.initial] = high[a.initial] = 0.0
+    for q in order:
+        if low[q] <= high[q]:   # reachable
+            lo = low[q] = min(low[q], 0.0)
+            hi = high[q] = max(high[q], 0.0)
+            for _, weight, target in a._arcs[q]:
+                low[target] = min(low[target], lo + weight)
+                high[target] = max(high[target], hi + weight)
+    for q, weight in a._finals.items():
+        if low[q] <= high[q]:
+            low.append(low[q] + weight)
+            high.append(high[q] + weight)
+    return min(low), max(high)
 
 
 def topological_order(a: Automaton) -> list:

@@ -1,7 +1,8 @@
 """Command line: decode a lattice file, generate lattices, run benchmarks.
 
 Exit codes for ``decode``: 0 success, 1 oracle mismatch, 2 empty
-language, 3 invalid input, 4 budget exceeded.
+language, 3 invalid input, 4 budget exceeded. A usage error, such as an
+unknown option, exits 3 for every command; ``-h`` exits 0.
 
 ``--semiring`` names the encoding of the lattice's weights (``log``:
 ``-ln p``; ``real``: probabilities). Decoding always runs in ``-ln``
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .automaton import SymbolTable, read_text, validate, write_text
@@ -55,10 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="determinize exhaustively before searching")
     decode.add_argument("--budget", type=int, default=1_000_000,
                         help="state and path budget (default 1000000)")
-    decode.add_argument("--delta-det", type=float, default=1e-6,
-                        help="residual merge tolerance in -ln units, i.e. "
-                             "relative on probabilities, for either "
-                             "encoding (default 1e-6)")
     decode.add_argument("--tolerance", type=float, default=1e-6,
                         help="oracle weight comparison tolerance (default 1e-6)")
     decode.add_argument("--print-distances", action="store_true",
@@ -126,10 +122,6 @@ def _cmd_decode(args) -> int:
     if args.budget < 1:
         print("error: budget must be positive", file=sys.stderr)
         return EXIT_INVALID
-    if not 0.0 <= args.delta_det < math.inf:
-        print("error: --delta-det must be finite and non-negative",
-              file=sys.stderr)
-        return EXIT_INVALID
     encoding = get_semiring(args.semiring)
     try:
         automaton = read_text(text, encoding, symbols)
@@ -152,7 +144,7 @@ def _cmd_decode(args) -> int:
     on_pop = _trace_writer(symbols, encoding.from_log) if args.trace else None
     search = (shortest_string_via_full_determinization if args.full
               else shortest_string)
-    cache = DfaCache(automaton, args.delta_det, args.budget)
+    cache = DfaCache(automaton, args.budget)
     try:
         result = search(automaton, on_pop=on_pop, cache=cache)
     except (EmptyLanguageError, BudgetExceededError) as exc:
@@ -225,7 +217,10 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse's exit: 0 after -h, else usage
+        return EXIT_OK if exc.code == 0 else EXIT_INVALID
     if args.command == "decode":
         return _cmd_decode(args)
     if args.command == "gen":

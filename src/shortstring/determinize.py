@@ -6,30 +6,28 @@ gathers every matching arc of every member, sums contributions that land
 on the same target, factors the total mass of the label onto the single
 output arc (the common-divisor convention), and keeps the per-target
 leftovers as the residuals of the successor subset. Residuals are thereby
-normalized: their semiring sum is one at creation, which bounds float
-drift and lets equivalent futures collide in the cache. All weights are
-``-ln`` weights (see :mod:`.semiring`): the sums are log-sum-exps shifted
-by the best term, products are ``+``, and a residual is the log ratio of
-its target's mass to the label's total.
+normalized: their semiring sum is one at creation, so prefixes that carry
+proportional masses into the same states can meet in one subset. All
+weights are ``-ln`` weights (see :mod:`.semiring`): the sums are
+log-sum-exps shifted by the best term, products are ``+``, and a
+residual is the log ratio of its target's mass to the label's total.
 
-Subsets are interned: equal state sets whose residuals land in the same
-``residual_tolerance`` cell share one handle (cells are in ``-ln`` units,
-so the tolerance is relative on probabilities), and expansion is memoized
-per handle, so repeated exploration never recomputes work. Cell sharing
-implies the residuals agree within the tolerance; two residuals within
-tolerance of each other but straddling a cell boundary stay distinct,
-which costs a duplicate state and never correctness. Handles are dense
-integers in creation order, which makes runs reproducible.
+Subsets are interned by their pairs: equal pairs share one handle, and
+any other pairs, however close their residuals, get their own, so a
+subset's weights are exactly those its expansion computed. Expansion is
+memoized per handle, so repeated exploration never recomputes work.
+Handles are dense integers in creation order, which makes runs
+reproducible.
 """
 
 from __future__ import annotations
 
-from math import exp, log, log1p
+from math import exp, log1p
 
 from .automaton import Automaton, write_text
 from .distance import DistanceTable
 from .errors import BudgetExceededError
-from .semiring import INF, ONE, ZERO, log_sum
+from .semiring import ONE, ZERO, log_sum
 
 
 class DfaCache:
@@ -40,18 +38,13 @@ class DfaCache:
     over the same automaton are independent.
     """
 
-    def __init__(self, automaton: Automaton, residual_tolerance: float = 1e-6,
-                 state_budget: int | None = None):
+    def __init__(self, automaton: Automaton, state_budget: int | None = None):
         if state_budget is not None and state_budget < 1:
             raise ValueError("state budget must be positive")
-        if not 0.0 <= residual_tolerance < INF:
-            raise ValueError("residual tolerance must be finite and "
-                             "non-negative")
         self.automaton = automaton
-        self.residual_tolerance = residual_tolerance
         self.state_budget = state_budget
         self._subsets = []      # handle -> tuple[(state, residual), ...]
-        self._index = {}        # canonical key -> handle
+        self._index = {}        # pairs -> handle
         self._arcs = {}         # handle -> tuple[(label, weight, target handle), ...]
         self._intern(((automaton.initial, ONE),))
 
@@ -91,22 +84,14 @@ class DfaCache:
                         bucket[target] = other - log1p(exp(other - mass))
                 else:
                     bucket[target] = mass
-        index = self._index
         out = []
         for label in sorted(per_label):
             bucket = per_label[label]
             if len(bucket) == 1:
                 ((target, divisor),) = bucket.items()
-                # a lone member's pairs ((t, 0.0),) equal and hash as its
-                # cell key ((t, 0),), so the index answers without _key
-                pairs = ((target, ONE),)
-                successor = index.get(pairs)
-                if successor is None:
-                    successor = self._intern(pairs)
+                successor = self._intern(((target, ONE),))
             else:
-                masses = bucket.values()
-                best = min(masses)
-                divisor = best - log(sum([exp(best - mass) for mass in masses]))
+                divisor = log_sum(bucket.values())
                 successor = self._intern(tuple(
                     (target, bucket[target] - divisor)
                     for target in sorted(bucket)))
@@ -137,15 +122,8 @@ class DfaCache:
         subset = self._subsets[handle]
         if len(subset) == 1:
             state, residual = subset[0]
-            acc = residual + beta[state]
-        else:
-            costs = [residual + beta[state] for state, residual in subset]
-            best = min(costs)
-            if best < INF:
-                acc = best - log(sum([exp(best - cost) for cost in costs]))
-            else:
-                acc = best
-        return acc
+            return residual + beta[state]
+        return log_sum([residual + beta[state] for state, residual in subset])
 
     def full_expand(self) -> int:
         """Expand every reachable subset; returns the determinized state
@@ -157,19 +135,8 @@ class DfaCache:
             handle += 1
         return len(self._subsets)
 
-    def _key(self, pairs: tuple) -> tuple:
-        tol = self.residual_tolerance
-        if tol == 0.0:
-            return pairs
-        # residuals in the same cell differ by less than the tolerance;
-        # they are finite, as arc weights of a valid automaton are
-        return tuple((state,
-                      int(residual / tol + (0.5 if residual >= 0 else -0.5)))
-                     for state, residual in pairs)
-
     def _intern(self, pairs: tuple) -> int:
-        key = self._key(pairs)
-        handle = self._index.get(key)
+        handle = self._index.get(pairs)
         if handle is not None:
             return handle
         if self.state_budget is not None and len(self._subsets) >= self.state_budget:
@@ -177,7 +144,7 @@ class DfaCache:
                 f"determinized state budget {self.state_budget} exceeded")
         handle = len(self._subsets)
         self._subsets.append(pairs)
-        self._index[key] = handle
+        self._index[pairs] = handle
         return handle
 
 

@@ -17,31 +17,33 @@ string and every subset is settled at most once.
 
 A popped subset is skipped, counted in :attr:`Stats.dominated`, when an
 already expanded subset over the same member states beats it on every
-member. A subset's future depends only on the forward mass that its
-prefix carries into each member: popped with gscore g, the member
-``(q, r_q)`` carries ``α_q = g + r_q``, and a completion z (a label
-string, its final weight included) weighs ``log_sum_q(α_q + w_q(z))``,
-where ``w_q(z)`` is the merged weight of z from q in the source
-automaton. That sum is monotone in each ``α_q`` and moves with a common
-shift, so if an expanded S′ has ``α′_q + m < α_q`` for every member q,
-then every ``S′·z`` weighs at least m less than ``S·z``. The search sees
-these weights through interned subsets: a successor takes the residuals
-of the cell it lands in (see :mod:`.determinize`), each within the
-tolerance δ of its own, so each step moves the weight of a completion
-by less than δ, on the side of S and of S′ alike. A completion in an
-acyclic automaton of N states has fewer than N steps, so the margin
+member. Popped with gscore g, a member ``(q, r_q)`` carries the forward
+mass ``α_q = g + r_q``, and a completion z (a label string, its final
+weight included) weighs ``log_sum_q(α_q + w_q(z))``, where ``w_q(z)`` is
+the merged weight of z from q in the source automaton. That sum is
+monotone in each ``α_q`` and moves with a common shift, so if the exact
+masses of an expanded S′ and of S have ``α′_q + m < α_q`` on every member,
+with m > 0, every ``S′·z`` is lighter than ``S·z``: no string through S
+is best or ties the best, and skipping S keeps the answer, its weight
+and the tie break.
 
-    m = 2·δ·N + ORDER_SLACK·max(1, |α_q|)
+The margin m covers the rounding of the masses the search computes.
+Each step of a prefix rounds the gscore sum and at most four results
+per member (residual plus arc weight, the merge of a target's masses,
+the divisor, the new residual), each to within 2^-53 of its magnitude.
+A prefix has fewer than N steps, N the automaton's state count, so when
+no mass or gscore on either prefix exceeds ``max(1, |α_q|)`` in
+magnitude, the two computed masses of q are off by less than
+``8·N·2^-53·max(1, |α_q|)`` together, and
 
-leaves S′·z strictly lighter than S·z as the search computes them,
-the second term covering float rounding in the gscore sums. No string
-through S can then be best or tie the best, and skipping S keeps the
-answer, its weight and the tie break on every input. The expanded
-masses are kept per member-state set and never dropped: the lazy
-search's f = log_sum_q(α_q + u(q)) is monotone in the masses too, and
-pops come in nondecreasing f, so a later pop never beats an earlier one
-on every member. A subset with one member is never compared: its
-residual is zero, so there is one subset per state.
+    m = max(ORDER_SLACK, 8·N·2^-53)·max(1, |α_q|)
+
+covers that (the pop-order slack is the larger term below 1.1e6 states).
+The expanded masses are kept per member-state set and never dropped:
+the lazy search's f = log_sum_q(α_q + u(q)) is monotone in the masses
+too, and pops come in nondecreasing f, so a later pop never beats an
+earlier one on every member. A subset with one member is never
+compared: its residual is zero, so there is one subset per state.
 
 Goals are handled with a virtual super-final hop: a final subset may
 still have outgoing arcs whose continuations beat stopping there, so
@@ -109,21 +111,20 @@ class SearchResult:
 TraceFn = Callable[[Optional[int], float, float, float, tuple], None]
 
 
-def shortest_string(a: Automaton, *, residual_tolerance: float = 1e-6,
-                    state_budget: int | None = None,
+def shortest_string(a: Automaton, *, state_budget: int | None = None,
                     on_pop: TraceFn | None = None,
                     cache: DfaCache | None = None) -> SearchResult:
     """Best label sequence of ``a`` and its merged weight.
 
     Determinization happens on the fly: only subsets the search actually
     reaches are ever built. Pass ``cache`` to keep the explored machine
-    around afterwards (it must wrap ``a``; its own tolerance and budget
-    then apply). Raises :class:`EmptyLanguageError` when no complete path
-    exists and :class:`BudgetExceededError` past the subset budget; either
-    carries the search's :class:`Stats` as ``stats``.
+    around afterwards (it must wrap ``a``; its own budget then applies).
+    Raises :class:`EmptyLanguageError` when no complete path exists and
+    :class:`BudgetExceededError` past the subset budget; either carries
+    the search's :class:`Stats` as ``stats``.
     """
     if cache is None:
-        cache = DfaCache(a, residual_tolerance, state_budget)
+        cache = DfaCache(a, state_budget)
     stats = Stats()
     with _Reported(stats, cache):
         bound = backward_distance(a, HEURISTIC_VIEW)
@@ -134,8 +135,7 @@ def shortest_string(a: Automaton, *, residual_tolerance: float = 1e-6,
 
 
 def shortest_string_via_full_determinization(
-        a: Automaton, *, residual_tolerance: float = 1e-6,
-        state_budget: int | None = None,
+        a: Automaton, *, state_budget: int | None = None,
         on_pop: TraceFn | None = None,
         cache: DfaCache | None = None) -> SearchResult:
     """Baseline variant: determinize exhaustively first, compute the
@@ -143,7 +143,7 @@ def shortest_string_via_full_determinization(
     with that table as the heuristic. Returns the same string and weight
     as :func:`shortest_string` at strictly more determinization work."""
     if cache is None:
-        cache = DfaCache(a, residual_tolerance, state_budget)
+        cache = DfaCache(a, state_budget)
     stats = Stats()
     with _Reported(stats, cache):
         cache.full_expand()
@@ -240,10 +240,8 @@ _CLOSED = -INF
 def _astar(cache: DfaCache, heuristic: Callable[[int], float],
            on_pop: TraceFn | None, stats: Stats) -> SearchResult:
     subset = cache.subset
-    # dominance margin that does not depend on the masses: interned
-    # residuals move by less than the tolerance per step, on both sides,
-    # and a completion has fewer steps than the automaton has states
-    drift = 2.0 * cache.residual_tolerance * cache.automaton.num_states
+    # relative dominance margin (see the module docstring)
+    slack = max(ORDER_SLACK, 8 * cache.automaton.num_states * 2.0 ** -53)
     # member states -> (gscore, residuals) of the expanded subsets over
     # them; a member's forward mass is gscore + residual
     fronts = {}
@@ -283,7 +281,7 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
             if front is None:
                 fronts[states] = [(g, residuals)]
             else:
-                limits = [alpha - drift - ORDER_SLACK * max(1.0, abs(alpha))
+                limits = [alpha - slack * max(1.0, abs(alpha))
                           for alpha in map(g.__add__, residuals)]
                 if any(all(map(lt, map(g_old.__add__, old), limits))
                        for g_old, old in front):
@@ -347,7 +345,6 @@ class AuditReport:
 
 
 def heuristic_audit(a: Automaton, *, tolerance: float = 1e-9,
-                    residual_tolerance: float = 1e-6,
                     state_budget: int | None = None) -> AuditReport:
     """Exhaustively verify the search heuristic on one automaton.
 
@@ -360,7 +357,7 @@ def heuristic_audit(a: Automaton, *, tolerance: float = 1e-9,
     instances only.
     """
     table = backward_distance(a, HEURISTIC_VIEW)
-    cache = DfaCache(a, residual_tolerance, state_budget)
+    cache = DfaCache(a, state_budget)
     count = cache.full_expand()
     dfa = materialize(cache)
     beta_hat = backward_distance(dfa, "companion")

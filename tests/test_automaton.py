@@ -8,6 +8,8 @@ from shortstring import (Arc, Automaton, CycleError, LOG, LatticeSpec,
                          ParseError, REAL, SymbolTable, generate, read_text,
                          topological_order, validate, write_text)
 
+from shortstring.automaton import SUM_LIMIT
+
 from conftest import (E1_ARCS, E1_SYMBOLS_TEXT, E1_TEXT, make_e1, random_dag,
                       small_instance, to_real)
 
@@ -256,6 +258,26 @@ class TestValidate:
     def test_generated_instances_valid(self):
         for seed in range(25):
             assert validate(small_instance(seed)).ok
+
+    def test_path_sums_in_range(self):
+        # sums that reach SUM_LIMIT exactly are kept, one past it is not:
+        # over the arcs alone, with the final weight, and from a state
+        # inside the lattice rather than from the initial one
+        half = SUM_LIMIT / 2
+        assert validate(Automaton(LOG, 3, 0, [(0, 1, half, 1), (1, 1, half, 2)],
+                                  {2: 0.0})).ok
+        for arcs, finals in [([(0, 1, half, 1), (1, 1, half * 1.5, 2)], {2: 0.0}),
+                             ([(0, 1, half, 1), (1, 1, half, 2)], {2: 1e300}),
+                             ([(0, 1, half, 1), (1, 1, -SUM_LIMIT, 2),
+                               (2, 1, -half, 3)], {3: 0.0})]:
+            report = validate(Automaton(LOG, 4, 0, arcs, finals))
+            assert len(report.violations) == 1
+            assert "beyond" in report.violations[0]
+
+    def test_unreachable_path_sums_ignored(self):
+        a = Automaton(LOG, 4, 0, [(0, 1, 0.5, 1), (2, 1, 1e308, 3),
+                                  (3, 1, 1e308, 1)], {1: 0.0})
+        assert validate(a).ok
 
 
 class TestReadText:

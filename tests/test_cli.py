@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -191,12 +194,69 @@ class TestDecode:
         assert code == 3
         assert "budget" in err
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.5", "1e-320"])
     def test_bad_delta_det_rejected(self, capsys, e1_numeric_file, tolerance):
+        # subsets are keyed exactly and the merge tolerance option is gone,
+        # so any value of it is a usage error
         code, _, err = run(capsys, "decode", e1_numeric_file,
                            f"--delta-det={tolerance}")
         assert code == 3
         assert "delta-det" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("decode", "{file}", "--no-such-flag"),
+        ("decode", "{file}", "--budget", "abc"),
+        ("decode",),
+        ("frobnicate",),
+        ("gen", "--depth", "x", "--width", "1", "--vocab", "1")],
+        ids=["unknown-flag", "budget-abc", "no-input", "unknown-command",
+             "gen-depth-x"])
+    def test_usage_error_exits_invalid(self, capsys, e1_numeric_file, argv):
+        code, out, err = run(capsys, *(arg.format(file=e1_numeric_file)
+                                       for arg in argv))
+        assert code == 3
+        assert out == ""
+        assert "usage:" in err
+
+    @pytest.mark.parametrize("argv", [("-h",), ("decode", "--help")],
+                             ids=["top", "decode"])
+    def test_help_exits_ok(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage:")
+
+    def test_usage_error_process_exit_status(self, e1_numeric_file):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "shortstring.cli", "decode",
+             e1_numeric_file, "--delta-det", "1e-320"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 3
+        assert "unrecognized arguments: --delta-det" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("text, sums", [
+        # the only string weighs 2e308, which overflows to +inf, "no path"
+        ("0 1 1 1e308\n1 2 1 1e308\n2\n", "0.0 .. inf"),
+        # string 2 weighs 5, but string 1 1 sums to -inf
+        ("0 1 1 -1e308\n1 2 1 -1e308\n0 2 2 5\n2\n", "-inf .. 5.0"),
+        # every sum is finite, but residuals are differences of two sums
+        ("0 1 1 -1e308\n0 2 1 1e308\n2 3 3 1\n2 4 3 1\n3\n4\n",
+         "-1e+308 .. 1e+308")],
+        ids=["positive", "negative", "residual"])
+    @pytest.mark.parametrize("mode", [(), ("--full",), ("--oracle",)],
+                             ids=["lazy", "full", "oracle"])
+    def test_overflowing_path_sums_rejected(self, capsys, tmp_path, text,
+                                            sums, mode):
+        path = tmp_path / "huge.lat"
+        path.write_text(text)
+        code, out, err = run(capsys, "decode", str(path), *mode)
+        assert code == 3
+        assert out == ""
+        assert f"path weights sum to {sums}, beyond" in err
 
     def test_unknown_token(self, capsys, tmp_path, symbols_file):
         path = tmp_path / "tok.lat"

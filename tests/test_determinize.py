@@ -103,14 +103,22 @@ class TestFullExpand:
         with pytest.raises(ValueError):
             DfaCache(e1, state_budget=0)
 
-    @pytest.mark.parametrize("tolerance", [math.nan, INF, -1e-6])
-    def test_bad_tolerance_rejected(self, e1, tolerance):
-        # a NaN cell is not a number, and +inf would merge every residual
-        with pytest.raises(ValueError):
-            DfaCache(e1, tolerance)
-
-    def test_zero_tolerance_keys_exactly(self, e1):
-        assert DfaCache(e1, 0.0).full_expand() == 3
+    def test_zero_tolerance_keys_exactly(self):
+        # labels 1 and 3 carry equal masses into states {1, 2}, label 2
+        # carries 1e-7 more into state 2: the subset is keyed by its pairs
+        a = Automaton(LOG, 3, 0, [(0, 1, 0.0, 1), (0, 1, 0.5, 2),
+                                  (0, 2, 0.0, 1), (0, 2, 0.5 + 1e-7, 2),
+                                  (0, 3, 0.0, 1), (0, 3, 0.5, 2)],
+                      {1: 0.0, 2: 0.0})
+        cache = DfaCache(a)
+        (_, _, first), (_, _, near), (_, _, equal) = cache.expand(0)
+        assert equal == first
+        assert near != first
+        assert cache.num_states == 3
+        (s1, r1), (s2, r2) = cache.subset(first)
+        (t1, q1), (t2, q2) = cache.subset(near)
+        assert (s1, s2) == (t1, t2) == (1, 2)
+        assert 0 < abs(q1 - r1) < 1e-6 and 0 < abs(q2 - r2) < 1e-6
 
     def test_handle_numbering_deterministic(self):
         a = small_instance(11)

@@ -199,7 +199,7 @@ class TestDominance:
     # so as two subsets; the string bound is loose on both (its members
     # go on with different labels), so both pop before the goal
     @staticmethod
-    def two_prefixes(first, second, tolerance):
+    def two_prefixes(first, second):
         # label 2 reaches states 1 and 2 with forward masses ``first``,
         # label 1 with ``second``; state 1 goes on with label 3, state 2
         # with label 4
@@ -208,8 +208,7 @@ class TestDominance:
                 (1, 3, 0.5, 3), (2, 4, 0.5, 3)]
         a = Automaton(LOG, 4, 0, arcs, {3: 0.0})
         pops = []
-        result = shortest_string(a, residual_tolerance=tolerance,
-                                 on_pop=lambda h, *rest: pops.append(h))
+        result = shortest_string(a, on_pop=lambda h, *rest: pops.append(h))
         assert result.stats.popped == len(pops)
         labels, weight = oracle_shortest_string(a)
         assert result.labels == labels
@@ -217,7 +216,7 @@ class TestDominance:
         return result
 
     def test_dominated_prefix_is_skipped(self):
-        result = self.two_prefixes((1.0, 1.2), (1.2, 1.7), 1e-6)
+        result = self.two_prefixes((1.0, 1.2), (1.2, 1.7))
         assert result.stats.dominated == 1
         assert result.labels == (2, 3)
         assert result.stats.popped == result.stats.subsets_built
@@ -225,16 +224,16 @@ class TestDominance:
     def test_equal_mass_is_not_pruned(self):
         # the label-1 subset ties on state 1 and loses on state 2, so the
         # strings (1, 3), (2, 3) and (2, 4) tie and the smallest one wins
-        result = self.two_prefixes((1.0, 1.0), (1.0, 1.5), 0.0)
+        result = self.two_prefixes((1.0, 1.0), (1.0, 1.5))
         assert result.stats.dominated == 0
         assert result.labels == (1, 3)
         assert result.weight == 1.5
 
-    @pytest.mark.parametrize("gap, tolerance, dominated", [
-        (4e-10, 0.0, 0), (1e-6, 0.0, 1), (1e-3, 1e-3, 0), (1e-2, 1e-3, 1)])
-    def test_margin(self, gap, tolerance, dominated):
-        # the margin is 2 * tolerance * 4 states + ORDER_SLACK (1e-9) here
-        result = self.two_prefixes((1.0, 1.0), (1.0 + gap, 1.5), tolerance)
+    @pytest.mark.parametrize("gap, dominated", [
+        (4e-10, 0), (2e-9, 1), (1e-6, 1)])
+    def test_margin(self, gap, dominated):
+        # the margin is ORDER_SLACK (1e-9) times the mass, about 1, here
+        result = self.two_prefixes((1.0, 1.0), (1.0 + gap, 1.5))
         assert result.stats.dominated == dominated
         assert result.labels == (2, 3)
 
@@ -248,17 +247,15 @@ class TestDominance:
             assert len(result.labels) == 100
             assert result.stats.dominated > 0
 
-    @pytest.mark.parametrize("tolerance", [0.0, 1e-6])
-    def test_deep_shape_matches_oracle(self, tolerance):
+    def test_deep_shape_matches_oracle(self):
         for seed in range(10):
             a = generate(LatticeSpec(depth=7, width=4, vocab=4, skew=3.0,
                                      seed=seed))
-            got = shortest_string(a, residual_tolerance=tolerance)
+            got = shortest_string(a)
             labels, weight = oracle_shortest_string(a)
             assert got.labels == labels
             assert approx_eq(got.weight, weight, 1e-9)
-            full = shortest_string_via_full_determinization(
-                a, residual_tolerance=tolerance)
+            full = shortest_string_via_full_determinization(a)
             assert full.labels == labels
             assert full.weight == got.weight
 
