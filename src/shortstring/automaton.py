@@ -8,10 +8,12 @@ on a stored arc. Arcs are grouped by source state and sorted by (label,
 target, weight) so that subset expansion and weight summation are
 deterministic.
 
-:func:`read_text` and :func:`write_text` read and write the text format
-of :mod:`.textformat`. A text that :func:`read_text` accepts has state
-ids, labels and weights checked, and its arcs and final weights of zero
-dropped and counted; cycles are left to :func:`validate`.
+The acceptor contract has two halves. :class:`Automaton` checks each
+arc and final entry as it is built; :func:`validate` checks what needs
+the whole graph, cycles and path sums, and every decoder refuses what it
+rejects (see :class:`.determinize.DfaCache`). :func:`read_text` and
+:func:`write_text` read and write the text format of :mod:`.textformat`;
+arcs and final weights of zero are dropped and counted.
 :func:`topological_order` puts the smallest ready state first; for an
 automaton whose arcs all go from a smaller to a larger state id, as in
 lattices numbered forward, that order is ``0 .. num_states - 1`` and is
@@ -24,8 +26,7 @@ import heapq
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, repeat
-from math import isnan
+from itertools import accumulate, repeat
 from operator import itemgetter, lt
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -50,10 +51,7 @@ class Arc(NamedTuple):
 # (source, label, target, weight) groups them by source and orders each
 # state's arcs; the stored Arc is (label, weight, target).
 _ORDER = itemgetter(0, 1, 3, 2)
-_STATE_ORDER = itemgetter(1, 3, 2)
 _ARC_FIELDS = itemgetter(1, 2, 3)
-_SOURCE = itemgetter(0)
-_WEIGHT = itemgetter(2)
 
 
 class Automaton:
@@ -67,6 +65,12 @@ class Automaton:
     or :func:`read_text`. Arcs and final entries whose weight equals the
     semiring zero (``+inf``) denote absence and are silently dropped; the
     drop counts are kept in ``pruned_arcs`` / ``pruned_finals``.
+
+    Every arc and final entry, dropped ones included, must have its
+    states in ``0 .. num_states - 1``, a label of at least 1 and a weight
+    in the log semiring (neither NaN nor ``-inf``), or
+    :class:`ValueError` names the first offender in input order, arcs
+    first. Cycles and path sums are left to :func:`validate`.
     """
 
     def __init__(self, encoding: Encoding, num_states: int, initial: int,
@@ -76,27 +80,21 @@ class Automaton:
         if not 0 <= initial < num_states:
             raise ValueError(f"initial state {initial} out of range")
         arcs = list(arcs)
-        if arcs and not (0 <= min(map(_SOURCE, arcs))
-                         and max(map(_SOURCE, arcs)) < num_states):
-            bad = next(arc[0] for arc in arcs
-                       if not 0 <= arc[0] < num_states)
-            raise ValueError(f"arc source {bad} out of range")
+        sources, labels, weights, targets = tuple(zip(*arcs)) or ((),) * 4
+        # the columns are checked whole; _first_offence only words a failure
+        if not (0 <= min(sources, default=0) and min(targets, default=0) >= 0
+                and max(sources, default=0) < num_states
+                and max(targets, default=0) < num_states
+                and min(labels, default=1) > 0 and LOG.all_members(weights)
+                and min(finals, default=0) >= 0
+                and max(finals, default=0) < num_states
+                and LOG.all_members(finals.values())):
+            raise ValueError(_first_offence(num_states, arcs, finals))
         count = len(arcs)
-        weights = list(map(_WEIGHT, arcs))
         if ZERO in weights:
             arcs = [arc for arc in arcs if arc[2] != ZERO]
-        if any(map(isnan, weights)):
-            # NaN compares false both ways, so where a sort puts it depends
-            # on the sequence sorted: each state's arcs are sorted apart,
-            # in input order, so that no state's order depends on another's
-            arcs.sort(key=_SOURCE)
-            arcs = list(chain.from_iterable(
-                sorted(group, key=_STATE_ORDER)
-                for _, group in groupby(arcs, _SOURCE)))
-        else:
-            arcs.sort(key=_ORDER)
-        sources = list(map(_SOURCE, arcs))
-        targets = list(map(itemgetter(3), arcs))
+            sources, _, weights, targets = tuple(zip(*arcs)) or ((),) * 4
+        arcs.sort(key=_ORDER)
         # arcs are grouped by source: state q's arcs start after the arcs
         # of the states before it
         counts = Counter(sources)
@@ -114,11 +112,12 @@ class Automaton:
         self.pruned_finals = len(finals) - len(kept)
         self._arcs = tuple(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
         self._finals = kept
+        # the largest weight magnitude, which bounds validate()'s path sums
+        self._magnitude = max(max(weights, default=0.0), -min(weights, default=0.0),
+                              *map(abs, kept.values()))
         # memo of topological_order once it succeeded; an automaton whose
         # arcs all go from a smaller to a larger state id is ordered by id
-        forward = (all(map(lt, sources, targets))
-                   and max(targets, default=0) < num_states)
-        self._order = range(num_states) if forward else None
+        self._order = range(num_states) if all(map(lt, sources, targets)) else None
 
     @property
     def finals(self):
@@ -146,6 +145,29 @@ class Automaton:
                 f"arcs={self.num_arcs()}, finals={len(self._finals)})")
 
 
+def _first_offence(num_states: int, arcs: list, finals: dict) -> str:
+    # words the first arc, or else final entry, that Automaton refuses
+    for source, label, weight, target in arcs:
+        if not 0 <= source < num_states:
+            return f"arc source {source} out of range"
+        if label == 0:
+            return f"epsilon arc {source}->{target} (label 0 is reserved)"
+        if label < 0:
+            return f"negative label {label} on arc {source}->{target}"
+        if not 0 <= target < num_states:
+            return f"arc target {target} out of range on arc from {source}"
+        if not LOG.is_member(weight):
+            return (f"arc weight {weight!r} on {source}->{target} is not "
+                    f"a member of the log semiring")
+    for state, weight in finals.items():
+        if not 0 <= state < num_states:
+            return f"final state {state} out of range"
+        if not LOG.is_member(weight):
+            return (f"final weight {weight!r} of state {state} is not "
+                    f"a member of the log semiring")
+    raise RuntimeError("a column check failed on arcs and finals that pass")
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple
@@ -161,64 +183,28 @@ class ValidationReport:
 
 
 def validate(a: Automaton) -> ValidationReport:
-    """Check the full acceptor contract; reports every violation found.
+    """Check the part of the acceptor contract that needs the whole graph.
 
-    A valid automaton is acyclic and epsilon-free, every weight is a member
-    of the log semiring (neither NaN nor ``-inf``), every referenced state
-    is in range, and every path from a state the initial one reaches sums
-    to at most ``SUM_LIMIT`` in magnitude, its final weight included or
-    not, so that no sum the decoders form, nor a residual, overflows to a
-    false ``+inf`` (no path) or ``-inf``.
+    :class:`Automaton` has already checked each arc and final entry. A
+    valid automaton is also acyclic, and every path from a state the
+    initial one reaches sums to at most ``SUM_LIMIT`` in magnitude, its
+    final weight included or not, so that no sum the decoders form, nor
+    a residual, overflows to a false ``+inf`` (no path) or ``-inf``. The
+    report holds the first violation found, if any.
     """
-    labels, weights, targets = (tuple(zip(*chain.from_iterable(a._arcs)))
-                                or ((),) * 3)
-    finals = a.finals
-    # the columns are checked whole; the loops below only word what failed
-    arcs_ok = (min(labels, default=1) > 0
-               and min(targets, default=0) >= 0
-               and max(targets, default=0) < a.num_states
-               and LOG.all_members(weights))
-    finals_ok = (min(finals, default=0) >= 0
-                 and max(finals, default=0) < a.num_states
-                 and LOG.all_members(finals.values()))
-    violations = []
-    targets_ok = True
-    if not arcs_ok:
-        for source, label, weight, target in a.all_arcs():
-            if label == 0:
-                violations.append(f"epsilon arc {source}->{target} (label 0 is reserved)")
-            elif label < 0:
-                violations.append(f"negative label {label} on arc {source}->{target}")
-            if not 0 <= target < a.num_states:
-                violations.append(f"arc target {target} out of range on arc from {source}")
-                targets_ok = False
-            if not LOG.is_member(weight):
-                violations.append(f"arc weight {weight!r} on {source}->{target} is not "
-                                  f"a member of the log semiring")
-    if not finals_ok:
-        for state, weight in finals.items():
-            if not 0 <= state < a.num_states:
-                violations.append(f"final state {state} out of range")
-            if not LOG.is_member(weight):
-                violations.append(f"final weight {weight!r} of state {state} is not "
-                                  f"a member of the log semiring")
-    if targets_ok:
-        try:
-            order = topological_order(a)
-        except CycleError as exc:
-            violations.append(str(exc))
-        else:
-            # a path sums at most num_states weights, which bounds most
-            # automata without a pass
-            if arcs_ok and finals_ok and a.num_states * max(
-                    max(weights, default=0.0), -min(weights, default=0.0),
-                    *map(abs, finals.values())) > SUM_LIMIT:
-                low, high = _path_sum_range(a, order)
-                if not -SUM_LIMIT <= low <= high <= SUM_LIMIT:
-                    violations.append(
-                        f"path weights sum to {low!r} .. {high!r}, beyond "
-                        f"±{SUM_LIMIT!r} (half the float range)")
-    return ValidationReport(tuple(violations))
+    try:
+        order = topological_order(a)
+    except CycleError as exc:
+        return ValidationReport((str(exc),))
+    # a path sums at most num_states weights, which bounds most automata
+    # without a pass
+    if a.num_states * a._magnitude > SUM_LIMIT:
+        low, high = _path_sum_range(a, order)
+        if not -SUM_LIMIT <= low <= high <= SUM_LIMIT:
+            return ValidationReport((
+                f"path weights sum to {low!r} .. {high!r}, beyond "
+                f"±{SUM_LIMIT!r} (half the float range)",))
+    return ValidationReport(())
 
 
 def _path_sum_range(a: Automaton, order: list) -> tuple:

@@ -31,6 +31,8 @@ EXIT_EMPTY = 2
 EXIT_INVALID = 3
 EXIT_BUDGET = 4
 
+ORACLE_TOLERANCE = 1e-6   # --oracle's largest allowed weight difference
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -55,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="determinize exhaustively before searching")
     decode.add_argument("--budget", type=int, default=1_000_000,
                         help="state and path budget (default 1000000)")
-    decode.add_argument("--tolerance", type=float, default=1e-6,
-                        help="oracle weight comparison tolerance (default 1e-6)")
     decode.add_argument("--print-distances", action="store_true",
                         help="print per-state forward and backward "
                              "distances and the search's bound to stderr")
@@ -128,6 +128,7 @@ def _cmd_decode(args) -> int:
     except ParseError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    # DfaCache validates too; this words the refusal before any output
     report = validate(automaton)
     if not report.ok:
         print(f"error: {args.input}: {report}", file=sys.stderr)
@@ -171,7 +172,7 @@ def _cmd_decode(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BUDGET
         print(f"oracle\t{_render(labels, symbols)}\t{weight:.6f}")
-        if labels != result.labels or abs(weight - result.weight) > args.tolerance:
+        if labels != result.labels or abs(weight - result.weight) > ORACLE_TOLERANCE:
             print("error: search and oracle disagree", file=sys.stderr)
             return EXIT_MISMATCH
     return EXIT_OK
@@ -182,11 +183,11 @@ def _cmd_gen(args) -> int:
                        skew=args.skew, merge_prob=args.merge_prob,
                        seed=args.seed)
     try:
-        spec.check()
+        lattice = generate(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    sys.stdout.write(write_text(generate(spec)))
+    sys.stdout.write(write_text(lattice))
     return EXIT_OK
 
 
@@ -199,19 +200,18 @@ def _cmd_bench(args) -> int:
     if not depths or args.seeds < 1:
         print("error: need at least one depth and one seed", file=sys.stderr)
         return EXIT_INVALID
-    if args.budget < 1:
-        print("error: budget must be positive", file=sys.stderr)
-        return EXIT_INVALID
     specs = [LatticeSpec(depth=depth, width=args.width, vocab=args.vocab,
                          skew=args.skew, merge_prob=args.merge_prob, seed=seed)
              for depth in depths for seed in range(args.seeds)]
+    # a bad spec or budget raises ValueError, and so does a skew that
+    # takes a mass to zero in generate()
     try:
         for spec in specs:
             spec.check()
+        rows = bench_run(specs, state_budget=args.budget)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    rows = bench_run(specs, state_budget=args.budget)
     sys.stdout.write(bench_csv(rows))
     return EXIT_OK
 

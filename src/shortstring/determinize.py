@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from math import exp, log1p
 
-from .automaton import Automaton, write_text
+from .automaton import Automaton, validate, write_text
 from .distance import DistanceTable
 from .errors import BudgetExceededError
 from .semiring import ONE, ZERO, log_sum
@@ -32,6 +32,10 @@ from .semiring import ONE, ZERO, log_sum
 
 class DfaCache:
     """On-demand determinization of one acyclic automaton.
+
+    The automaton must pass :func:`.automaton.validate`; otherwise
+    :class:`ValueError` carries the report. Every decoder builds its
+    subsets here, so each refuses what ``validate`` rejects.
 
     A cache is owned by a single search: expansion mutates the memo, so
     concurrent expansion of one cache is not supported. Distinct caches
@@ -41,6 +45,9 @@ class DfaCache:
     def __init__(self, automaton: Automaton, state_budget: int | None = None):
         if state_budget is not None and state_budget < 1:
             raise ValueError("state budget must be positive")
+        report = validate(automaton)
+        if not report.ok:
+            raise ValueError(str(report))
         self.automaton = automaton
         self.state_budget = state_budget
         self._subsets = []      # handle -> tuple[(state, residual), ...]

@@ -44,8 +44,8 @@ class LatticeSpec:
             raise ValueError("depth, width, and vocab must be at least 1")
         if not 0.0 <= self.merge_prob <= 1.0:
             raise ValueError("merge_prob must lie in [0, 1]")
-        if self.skew <= 0.0:
-            raise ValueError("skew must be positive")
+        if not 0.0 < self.skew < math.inf:
+            raise ValueError("skew must be positive and finite")
 
 
 def generate(spec: LatticeSpec) -> Automaton:
@@ -77,8 +77,11 @@ def generate(spec: LatticeSpec) -> Automaton:
                     targets.append(target_base + rng.randrange(width))
                 else:
                     targets.append(target_base + slot)
-            # 1 - random() is strictly positive, so no mass is ever zero
+            # 1 - random() is positive, but a large skew can underflow it
             masses = [(1.0 - rng.random()) ** spec.skew for _ in range(width)]
+            if min(masses) == 0.0:
+                raise ValueError(f"skew {spec.skew:g} underflows an arc "
+                                 f"mass to zero")
             total = math.fsum(masses)
             for slot in range(width):
                 arcs.append((source, slot_labels[slot],

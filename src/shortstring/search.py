@@ -73,6 +73,8 @@ from .semiring import INF, ONE, ZERO, format_weight
 # from (see :mod:`.distance` for why it is admissible and consistent).
 HEURISTIC_VIEW = "string"
 
+AUDIT_TOLERANCE = 1e-9    # heuristic_audit's allowed excess, in -ln units
+
 # A popped priority may fall below an earlier one by this fraction of the
 # earlier one's magnitude (at least 1) before it counts as a violation of
 # the monotonicity a consistent heuristic guarantees; float drift in the
@@ -119,9 +121,10 @@ def shortest_string(a: Automaton, *, state_budget: int | None = None,
     Determinization happens on the fly: only subsets the search actually
     reaches are ever built. Pass ``cache`` to keep the explored machine
     around afterwards (it must wrap ``a``; its own budget then applies).
-    Raises :class:`EmptyLanguageError` when no complete path exists and
-    :class:`BudgetExceededError` past the subset budget; either carries
-    the search's :class:`Stats` as ``stats``.
+    Raises :class:`ValueError` when :func:`.automaton.validate` rejects
+    ``a``, :class:`EmptyLanguageError` when no complete path exists and
+    :class:`BudgetExceededError` past the subset budget; the last two
+    carry the search's :class:`Stats` as ``stats``.
     """
     if cache is None:
         cache = DfaCache(a, state_budget)
@@ -344,7 +347,7 @@ class AuditReport:
                 f"{len(self.consistency_violations)} consistency violations")
 
 
-def heuristic_audit(a: Automaton, *, tolerance: float = 1e-9,
+def heuristic_audit(a: Automaton, *,
                     state_budget: int | None = None) -> AuditReport:
     """Exhaustively verify the search heuristic on one automaton.
 
@@ -353,11 +356,12 @@ def heuristic_audit(a: Automaton, *, tolerance: float = 1e-9,
     never overestimates the best single completion (admissibility, against
     the companion backward table of the determinized machine) and never
     overestimates across any single arc or the final hop (consistency).
-    Violations beyond ``tolerance`` (in ``-ln`` units) are reported; small
-    instances only.
+    Violations beyond ``AUDIT_TOLERANCE`` (in ``-ln`` units) are
+    reported; small instances only. Raises :class:`ValueError` when
+    :func:`.automaton.validate` rejects ``a``.
     """
-    table = backward_distance(a, HEURISTIC_VIEW)
     cache = DfaCache(a, state_budget)
+    table = backward_distance(a, HEURISTIC_VIEW)
     count = cache.full_expand()
     dfa = materialize(cache)
     beta_hat = backward_distance(dfa, "companion")
@@ -366,14 +370,14 @@ def heuristic_audit(a: Automaton, *, tolerance: float = 1e-9,
     consistency = []
     arcs_checked = 0
     for handle, h_here in enumerate(h):
-        if h_here > beta_hat[handle] + tolerance:
+        if h_here > beta_hat[handle] + AUDIT_TOLERANCE:
             admissibility.append(
                 f"state {handle}: heuristic {format_weight(h_here)} exceeds "
                 f"best completion {format_weight(beta_hat[handle])}")
         for label, weight, target in cache.expand(handle):
             arcs_checked += 1
             bound = weight + h[target]
-            if h_here > bound + tolerance:
+            if h_here > bound + AUDIT_TOLERANCE:
                 consistency.append(
                     f"arc {handle}-{label}->{target}: heuristic "
                     f"{format_weight(h_here)} exceeds step bound "
@@ -381,7 +385,7 @@ def heuristic_audit(a: Automaton, *, tolerance: float = 1e-9,
         final = cache.final_weight(handle)
         if final != ZERO:
             arcs_checked += 1
-            if h_here > final + tolerance:
+            if h_here > final + AUDIT_TOLERANCE:
                 consistency.append(
                     f"state {handle}: heuristic {format_weight(h_here)} "
                     f"exceeds final weight {format_weight(final)}")

@@ -7,7 +7,7 @@ smaller is better. The companion (best-of) view of ``plus`` is ``min``.
 The algebra is monotonic and negative: summing alternatives never beats
 every alternative, and extending a path never improves it. Members are
 the reals and ``+inf``; NaN and ``-inf`` are rejected where weights enter
-(``read_text`` and ``validate``).
+(``read_text`` and ``Automaton``).
 
 The plus-times semiring over probabilities is isomorphic to it under
 ``p -> -ln p``, minus the underflow, so it is not computed in: ``real``

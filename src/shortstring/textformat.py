@@ -9,7 +9,8 @@ Weights are written in the file's encoding: ``-ln p`` for ``log``,
 probabilities for ``real``. The initial state is the source field of the
 first record. Blank lines and lines starting with ``#`` are ignored.
 Labels are integers unless a symbol table maps tokens to integers. A
-symbol table file holds lines of ``token id``.
+symbol table file holds lines of ``token id``, each id a non-negative
+integer.
 
 :func:`read_records` accepts a text only when every state id is a
 non-negative integer, every label is positive (or a known token), every
@@ -80,10 +81,7 @@ class SymbolTable:
             fields = line.split()
             if len(fields) != 2:
                 raise ParseError("expected 'token id'", lineno)
-            try:
-                label = int(fields[1])
-            except ValueError:
-                raise ParseError(f"bad symbol id {fields[1]!r}", lineno) from None
+            label = _parse_int(fields[1], "symbol id", lineno)
             try:
                 table.add(fields[0], label)
             except ValueError as exc:

@@ -17,6 +17,8 @@ from shortstring import (DfaCache, LOG, REAL, LatticeSpec, approx_eq,
                          shortest_string_via_full_determinization,
                          total_distance)
 
+from shortstring.search import AUDIT_TOLERANCE
+
 from conftest import E1_SYMBOLS_TEXT, E1_TEXT, make_e1, small_instance
 
 INF = math.inf
@@ -71,10 +73,11 @@ def test_c2_oracle_equivalence_1000():
 
 
 def test_c3_heuristic_audit_500():
+    assert AUDIT_TOLERANCE == 1e-9
     started = time.perf_counter()
     dirty = 0
     for seed in range(500):
-        if not heuristic_audit(small_instance(seed), tolerance=1e-9).ok:
+        if not heuristic_audit(small_instance(seed)).ok:
             dirty += 1
     elapsed = time.perf_counter() - started
     ok = dirty == 0 and elapsed < 60.0

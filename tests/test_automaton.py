@@ -53,6 +53,36 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Automaton(LOG, 2, 0, [(7, 1, 0.5, 1)], {})
 
+    @pytest.mark.parametrize("arcs, finals, message", [
+        ([(0, -2, 0.5, 1)], {}, "negative label -2 on arc 0->1"),
+        ([(0, 1, 0.5, 5)], {}, "arc target 5 out of range on arc from 0"),
+        ([(0, 1, 0.5, -1)], {}, "arc target -1 out of range on arc from 0"),
+        ([(0, 1, NAN, 1)], {},
+         "arc weight nan on 0->1 is not a member of the log semiring"),
+        ([(0, 1, -INF, 1)], {},
+         "arc weight -inf on 0->1 is not a member of the log semiring"),
+        ([], {2: NAN},
+         "final weight nan of state 2 is not a member of the log semiring"),
+        ([], {7: 0.0}, "final state 7 out of range"),
+        # a dropped arc or final entry is checked too
+        ([(0, 1, INF, 3)], {}, "arc target 3 out of range on arc from 0"),
+        ([], {-1: INF}, "final state -1 out of range"),
+        # the first offender in input order, arcs before finals, is named;
+        # within an arc, source, label, target and weight are checked in
+        # that order
+        ([(0, 1, 0.5, 1), (0, 0, NAN, 5), (1, 1, -INF, 2), (0, -2, NAN, 5)],
+         {2: NAN, 7: 0.0}, "epsilon arc 0->5 (label 0 is reserved)"),
+        ([(0, 1, 0.5, 1), (1, 2, NAN, 9)], {7: 0.0},
+         "arc target 9 out of range on arc from 1"),
+        ([(1, 1, -INF, 2)], {2: NAN, 7: 0.0},
+         "arc weight -inf on 1->2 is not a member of the log semiring"),
+        ([(3, 0, 0.5, 1)], {}, "arc source 3 out of range"),
+    ])
+    def test_first_offender_named(self, arcs, finals, message):
+        with pytest.raises(ValueError) as info:
+            Automaton(LOG, 3, 0, arcs, finals)
+        assert str(info.value) == message
+
 
 class TestTopologicalOrder:
     def test_e1(self, e1):
@@ -189,31 +219,13 @@ class TestArcOrder:
             a = Automaton(LOG, 10, 0, arcs, {})
             assert [a.arcs(q) for q in range(10)] == sorted_per_state(10, arcs)
 
-    def test_nan_weights_sorted_per_state(self):
-        # NaN compares false both ways, so a state's order depends on the
-        # sequence its arcs are sorted in; each state's arcs are sorted on
-        # their own, in input order
-        arcs = [(0, 0, 0.5, 1), (0, -2, NAN, 5), (1, 1, -INF, 2),
-                (0, 1, 0.5, 1), (0, 1, -INF, 1), (0, 1, NAN, 1),
-                (0, 1, 0.25, 1)]
-        a = Automaton(LOG, 3, 0, arcs, {2: NAN, 7: 0.0})
-        assert [[(arc.label, repr(arc.weight), arc.target) for arc in a.arcs(q)]
-                for q in range(3)] == \
-            [[(arc.label, repr(arc.weight), arc.target) for arc in lst]
-             for lst in sorted_per_state(3, arcs)]
-        assert validate(a).violations == (
-            "negative label -2 on arc 0->5",
-            "arc target 5 out of range on arc from 0",
-            "arc weight nan on 0->5 is not a member of the log semiring",
-            "epsilon arc 0->1 (label 0 is reserved)",
-            "arc weight -inf on 0->1 is not a member of the log semiring",
-            "arc weight nan on 0->1 is not a member of the log semiring",
-            "arc weight -inf on 1->2 is not a member of the log semiring",
-            "final weight nan of state 2 is not a member of the log semiring",
-            "final state 7 out of range")
 
 
 class TestValidate:
+    # The per-arc half of the contract is checked when the automaton is
+    # built (the epsilon, range and membership cases below); validate()
+    # checks cycles and path sums.
+
     def test_e1_valid(self, e1):
         report = validate(e1)
         assert report.ok
@@ -226,34 +238,39 @@ class TestValidate:
         assert any("cycle" in v for v in report.violations)
 
     def test_epsilon_arc_detected(self):
-        a = Automaton(LOG, 2, 0, [(0, 0, 0.5, 1)], {1: 0.0})
-        report = validate(a)
-        assert any("epsilon" in v for v in report.violations)
+        # built in code, this decoded to the epsilon string (0,)
+        with pytest.raises(ValueError, match=r"^epsilon arc 0->1 \(label 0"):
+            Automaton(LOG, 2, 0, [(0, 0, 0.5, 1)], {1: 0.0})
 
     def test_target_out_of_range(self):
-        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 9)], {1: 0.0})
-        report = validate(a)
-        assert any("out of range" in v for v in report.violations)
+        # built in code, this raised IndexError in the search
+        with pytest.raises(ValueError,
+                           match="^arc target 9 out of range on arc from 0$"):
+            Automaton(LOG, 2, 0, [(0, 1, 0.5, 9)], {1: 0.0})
 
     def test_non_member_weight(self):
-        a = Automaton(LOG, 2, 0, [(0, 1, float("nan"), 1)], {1: 1.0})
-        report = validate(a)
-        assert any("not a member" in v for v in report.violations)
+        # built in code, this decoded to a false "accepts no string"
+        with pytest.raises(ValueError, match="^arc weight nan on 0->1 is not"):
+            Automaton(LOG, 2, 0, [(0, 1, NAN, 1)], {1: 1.0})
+        with pytest.raises(ValueError,
+                           match="^final weight nan of state 1 is not"):
+            Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {1: NAN})
 
     def test_negative_infinity_rejected(self):
         # -inf would be a probability of +inf; decoding it produced NaN
         # residuals and a traceback
-        a = Automaton(LOG, 2, 0, [(0, 1, -INF, 1)], {1: -INF})
-        report = validate(a)
-        assert len([v for v in report.violations if "not a member" in v]) == 2
+        with pytest.raises(ValueError, match="^arc weight -inf on 0->1 is not"):
+            Automaton(LOG, 2, 0, [(0, 1, -INF, 1)], {1: -INF})
+        with pytest.raises(ValueError,
+                           match="^final weight -inf of state 1 is not"):
+            Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {1: -INF})
         with pytest.raises(ParseError) as info:
             read_text("0 1 1 -inf\n1\n", LOG)
         assert info.value.line == 1
 
     def test_final_out_of_range(self):
-        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {1: 0.0, 9: 0.0})
-        report = validate(a)
-        assert any("final state 9" in v for v in report.violations)
+        with pytest.raises(ValueError, match="^final state 9 out of range$"):
+            Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {1: 0.0, 9: 0.0})
 
     def test_generated_instances_valid(self):
         for seed in range(25):
@@ -470,6 +487,12 @@ class TestSymbolTable:
     def test_bad_id(self):
         with pytest.raises(ParseError):
             SymbolTable.from_text("a one\n")
+
+    def test_negative_id(self):
+        with pytest.raises(ParseError) as info:
+            SymbolTable.from_text("<eps> 0\na 1\nb -1\n")
+        assert str(info.value) == "line 3: negative symbol id '-1'"
+        assert info.value.line == 3
 
     def test_bad_field_count(self):
         with pytest.raises(ParseError):

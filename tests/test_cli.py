@@ -208,9 +208,11 @@ class TestDecode:
         ("decode", "{file}", "--budget", "abc"),
         ("decode",),
         ("frobnicate",),
-        ("gen", "--depth", "x", "--width", "1", "--vocab", "1")],
+        ("gen", "--depth", "x", "--width", "1", "--vocab", "1"),
+        # the oracle tolerance is a constant now, not an option
+        ("decode", "{file}", "--oracle", "--tolerance", "1e-3")],
         ids=["unknown-flag", "budget-abc", "no-input", "unknown-command",
-             "gen-depth-x"])
+             "gen-depth-x", "tolerance"])
     def test_usage_error_exits_invalid(self, capsys, e1_numeric_file, argv):
         code, out, err = run(capsys, *(arg.format(file=e1_numeric_file)
                                        for arg in argv))
@@ -257,6 +259,16 @@ class TestDecode:
         assert code == 3
         assert out == ""
         assert f"path weights sum to {sums}, beyond" in err
+
+    def test_negative_symbol_id(self, capsys, tmp_path, e1_file):
+        # a label of -1 would reach the automaton; the table is refused
+        path = tmp_path / "neg.syms"
+        path.write_text("<eps> 0\na 1\nb -1\nc 3\n")
+        code, out, err = run(capsys, "decode", e1_file, "--symbols", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == ("error: bad symbol table: line 3: negative symbol "
+                       "id '-1'\n")
 
     def test_unknown_token(self, capsys, tmp_path, symbols_file):
         path = tmp_path / "tok.lat"
@@ -324,6 +336,24 @@ class TestGen:
         assert "depth" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("gen", "--depth", "20"), ("bench", "--depths", "20")], ids=["gen", "bench"])
+@pytest.mark.parametrize("skew, message", [
+    # 300 and 1e6 take some or every mass of a position below the
+    # smallest float, which crashed in log() and in the normalization
+    ("300", "skew 300 underflows an arc mass to zero"),
+    ("1e6", "skew 1e+06 underflows an arc mass to zero"),
+    ("inf", "skew must be positive and finite"),
+    # nan used to write nan weights
+    ("nan", "skew must be positive and finite")])
+def test_bad_skew_rejected(capsys, command, skew, message):
+    code, out, err = run(capsys, *command, "--width", "4", "--vocab", "2",
+                         "--skew", skew)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestBench:
     def test_row_count_and_shape(self, capsys):
         code, out, _ = run(capsys, "bench", "--depths", "3,4", "--width", "2",
@@ -371,6 +401,13 @@ class TestBench:
             return rows
 
         assert scrub(first) == scrub(second)
+
+    def test_nonpositive_budget_rejected(self, capsys):
+        code, out, err = run(capsys, "bench", "--depths", "3", "--width", "2",
+                             "--vocab", "2", "--budget", "0")
+        assert code == 3
+        assert out == ""
+        assert err == "error: state budget must be positive\n"
 
     def test_bad_depths(self, capsys):
         code, _, err = run(capsys, "bench", "--depths", "x", "--width", "2",

@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -8,12 +10,13 @@ from shortstring import (Automaton, BudgetExceededError, DfaCache,
                          approx_eq, backward_distance, generate,
                          heuristic_audit, oracle_shortest_string,
                          shortest_string,
-                         shortest_string_via_full_determinization)
+                         shortest_string_via_full_determinization, validate)
 from shortstring.search import _Path
 
 from conftest import SIGMA_AB, random_dag, small_instance, to_real
 
 INF = math.inf
+NAN = math.nan
 
 
 class TestE1:
@@ -117,6 +120,97 @@ class TestSmallCases:
         labels, weight = oracle_shortest_string(a)
         assert labels == (1, 2)
         assert approx_eq(weight, result.weight, 1e-9)
+
+
+class TestContract:
+    """Every decoder refuses what :func:`validate` rejects, and every arc
+    list ends in one documented way."""
+
+    @pytest.mark.parametrize("entry", [
+        shortest_string, shortest_string_via_full_determinization,
+        heuristic_audit, DfaCache])
+    def test_overflowing_path_sums_refused(self, entry):
+        # string 1 3 weighs about 1e308, but the residual of state 2
+        # overflowed: built in code, the lazy search reported a false "no
+        # accepting path", the full one a false "accepts no string", and
+        # the audit reported "ok"
+        a = Automaton(LOG, 6, 0, [(0, 1, -1e308, 1), (0, 1, 1e308, 2),
+                                  (2, 3, 1.0, 4), (2, 3, 1.0, 5)],
+                      {4: 0.0, 5: 0.0})
+        report = validate(a)
+        assert not report.ok
+        with pytest.raises(ValueError) as info:
+            entry(a)
+        assert str(info.value) == str(report)
+        assert not isinstance(info.value, EmptyLanguageError)
+
+    def test_cycle_refused(self):
+        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (1, 1, 0.5, 0)], {1: 0.0})
+        with pytest.raises(ValueError, match="^cycle detected"):
+            shortest_string(a)
+
+    def test_random_arc_lists(self):
+        # states and labels are ints, so a state field draws its extremes
+        # from {0, -1, n}, a label from {0, -1}, and a weight from {NaN,
+        # +-inf, +-1e308}; arcs mostly go forward, and some run back
+        rng = random.Random(11)
+        started = time.perf_counter()
+        outcomes = Counter(_contract_outcome(rng) for _ in range(2000))
+        assert time.perf_counter() - started <= 5.0
+        assert set(outcomes) == {"construct", "validate", "match", "empty"}
+        assert min(outcomes.values()) >= 100, outcomes
+
+
+def _field(rng, valid, extremes):
+    return rng.choice(extremes) if rng.random() < 0.04 else valid
+
+
+def _contract_outcome(rng) -> str:
+    n = rng.randint(1, 6)
+
+    def weight():
+        return _field(rng, rng.uniform(-3.0, 8.0),
+                      (NAN, INF, -INF, 1e308, -1e308))
+
+    def state(valid):
+        return _field(rng, valid, (0, -1, n))
+
+    arcs = []
+    for _ in range(rng.randint(0, 8) if n > 1 else 0):
+        source = rng.randrange(n - 1)
+        target = rng.randrange(source + 1, n)
+        if rng.random() < 0.04:
+            source, target = target, source
+        arcs.append((state(source), _field(rng, rng.randint(1, 3), (0, -1)),
+                     weight(), state(target)))
+    finals = {state(q): weight() for q in range(n) if rng.random() < 0.4}
+    case = (n, arcs, finals)
+    try:
+        a = Automaton(LOG, n, 0, arcs, finals)
+    except ValueError:
+        return "construct"
+    report = validate(a)
+    if not report.ok:
+        with pytest.raises(ValueError) as info:
+            DfaCache(a)
+        assert str(info.value) == str(report), case
+        return "validate"
+    results = []
+    for decode in (shortest_string, shortest_string_via_full_determinization,
+                   oracle_shortest_string):
+        try:
+            results.append(decode(a))
+        except EmptyLanguageError:
+            results.append(None)
+    if results == [None] * 3:
+        return "empty"
+    assert None not in results, (case, results)
+    lazy, full, (labels, weight) = results
+    for got in lazy, full:
+        assert got.labels == labels, (case, results)
+        assert abs(got.weight - weight) <= 1e-9 * max(1.0, abs(weight)), \
+            (case, results)
+    return "match"
 
 
 class TestStringBound:
