@@ -8,11 +8,10 @@ best-first search whose heuristic bounds the mass of any one string of
 the source lattice (the ``"string"`` backward view of :mod:`.distance`).
 """
 
-from .automaton import (Arc, Automaton, SymbolTable, ValidationReport,
-                        read_text, topological_order, validate, write_text)
+from .automaton import (Arc, Automaton, SymbolTable, read_text,
+                        topological_order, validate, write_text)
 from .determinize import DfaCache, dump_text, materialize
-from .distance import (DistanceTable, backward_distance, forward_distance,
-                       total_distance)
+from .distance import backward_distance, forward_distance, total_distance
 from .errors import (BudgetExceededError, CycleError, EmptyLanguageError,
                      ParseError)
 from .latgen import (BenchRow, LatticeSpec, bench_csv, bench_run, generate,
@@ -26,10 +25,10 @@ from .semiring import (LOG, REAL, Encoding, approx_eq, format_weight,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc", "Automaton", "SymbolTable", "ValidationReport", "read_text",
-    "topological_order", "validate", "write_text",
+    "Arc", "Automaton", "SymbolTable", "read_text", "topological_order",
+    "validate", "write_text",
     "DfaCache", "dump_text", "materialize",
-    "DistanceTable", "backward_distance", "forward_distance", "total_distance",
+    "backward_distance", "forward_distance", "total_distance",
     "BudgetExceededError", "CycleError", "EmptyLanguageError", "ParseError",
     "BenchRow", "LatticeSpec", "bench_csv", "bench_run", "generate",
     "loglog_slope", "measure_instance",

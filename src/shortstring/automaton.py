@@ -10,8 +10,9 @@ deterministic.
 
 The acceptor contract has two halves. :class:`Automaton` checks each
 arc and final entry as it is built; :func:`validate` checks what needs
-the whole graph, cycles and path sums, and every decoder refuses what it
-rejects (see :class:`.determinize.DfaCache`). :func:`read_text` and
+the whole graph, cycles and path sums, and raises on the first
+violation. Every decoder and the oracle refuse what it rejects (see
+:class:`.determinize.DfaCache`). :func:`read_text` and
 :func:`write_text` read and write the text format of :mod:`.textformat`;
 arcs and final weights of zero are dropped and counted.
 :func:`topological_order` puts the smallest ready state first; for an
@@ -25,7 +26,6 @@ from __future__ import annotations
 import heapq
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import itemgetter, lt
 from types import MappingProxyType
@@ -168,43 +168,25 @@ def _first_offence(num_states: int, arcs: list, finals: dict) -> str:
     raise RuntimeError("a column check failed on arcs and finals that pass")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self):
-        if self.ok:
-            return "valid"
-        return "; ".join(self.violations)
-
-
-def validate(a: Automaton) -> ValidationReport:
+def validate(a: Automaton) -> None:
     """Check the part of the acceptor contract that needs the whole graph.
 
     :class:`Automaton` has already checked each arc and final entry. A
-    valid automaton is also acyclic, and every path from a state the
-    initial one reaches sums to at most ``SUM_LIMIT`` in magnitude, its
-    final weight included or not, so that no sum the decoders form, nor
-    a residual, overflows to a false ``+inf`` (no path) or ``-inf``. The
-    report holds the first violation found, if any.
+    valid automaton is also acyclic, or :class:`CycleError` names a back
+    arc, and every path from a state the initial one reaches sums to at
+    most ``SUM_LIMIT`` in magnitude, its final weight included or not, or
+    :class:`ValueError` gives the range of the sums. So no sum the
+    decoders form, nor a residual, overflows to a false ``+inf`` (no
+    path) or ``-inf``.
     """
-    try:
-        order = topological_order(a)
-    except CycleError as exc:
-        return ValidationReport((str(exc),))
+    order = topological_order(a)
     # a path sums at most num_states weights, which bounds most automata
     # without a pass
     if a.num_states * a._magnitude > SUM_LIMIT:
         low, high = _path_sum_range(a, order)
         if not -SUM_LIMIT <= low <= high <= SUM_LIMIT:
-            return ValidationReport((
-                f"path weights sum to {low!r} .. {high!r}, beyond "
-                f"±{SUM_LIMIT!r} (half the float range)",))
-    return ValidationReport(())
+            raise ValueError(f"path weights sum to {low!r} .. {high!r}, "
+                             f"beyond ±{SUM_LIMIT!r} (half the float range)")
 
 
 def _path_sum_range(a: Automaton, order: list) -> tuple:

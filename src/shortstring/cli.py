@@ -31,7 +31,7 @@ EXIT_EMPTY = 2
 EXIT_INVALID = 3
 EXIT_BUDGET = 4
 
-ORACLE_TOLERANCE = 1e-6   # --oracle's largest allowed weight difference
+ORACLE_TOLERANCE = 1e-6   # --oracle's largest weight difference, in -ln units
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,15 +123,13 @@ def _cmd_decode(args) -> int:
         print("error: budget must be positive", file=sys.stderr)
         return EXIT_INVALID
     encoding = get_semiring(args.semiring)
+    # DfaCache validates too; this words the refusal before any output.
+    # ParseError and CycleError are ValueErrors.
     try:
         automaton = read_text(text, encoding, symbols)
-    except ParseError as exc:
+        validate(automaton)
+    except ValueError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    # DfaCache validates too; this words the refusal before any output
-    report = validate(automaton)
-    if not report.ok:
-        print(f"error: {args.input}: {report}", file=sys.stderr)
         return EXIT_INVALID
     if args.print_distances:
         alpha = forward_distance(automaton)
@@ -172,7 +170,8 @@ def _cmd_decode(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BUDGET
         print(f"oracle\t{_render(labels, symbols)}\t{weight:.6f}")
-        if labels != result.labels or abs(weight - result.weight) > ORACLE_TOLERANCE:
+        gap = encoding.to_log(weight) - encoding.to_log(result.weight)
+        if labels != result.labels or abs(gap) > ORACLE_TOLERANCE:
             print("error: search and oracle disagree", file=sys.stderr)
             return EXIT_MISMATCH
     return EXIT_OK

@@ -25,7 +25,6 @@ from __future__ import annotations
 from math import exp, log1p
 
 from .automaton import Automaton, validate, write_text
-from .distance import DistanceTable
 from .errors import BudgetExceededError
 from .semiring import ONE, ZERO, log_sum
 
@@ -33,9 +32,9 @@ from .semiring import ONE, ZERO, log_sum
 class DfaCache:
     """On-demand determinization of one acyclic automaton.
 
-    The automaton must pass :func:`.automaton.validate`; otherwise
-    :class:`ValueError` carries the report. Every decoder builds its
-    subsets here, so each refuses what ``validate`` rejects.
+    The automaton must pass :func:`.automaton.validate`, whose
+    :class:`ValueError` passes through. Every decoder builds its subsets
+    here, so each refuses what ``validate`` rejects.
 
     A cache is owned by a single search: expansion mutates the memo, so
     concurrent expansion of one cache is not supported. Distinct caches
@@ -45,9 +44,7 @@ class DfaCache:
     def __init__(self, automaton: Automaton, state_budget: int | None = None):
         if state_budget is not None and state_budget < 1:
             raise ValueError("state budget must be positive")
-        report = validate(automaton)
-        if not report.ok:
-            raise ValueError(str(report))
+        validate(automaton)
         self.automaton = automaton
         self.state_budget = state_budget
         self._subsets = []      # handle -> tuple[(state, residual), ...]
@@ -115,22 +112,23 @@ class DfaCache:
                         for state, residual in self._subsets[handle]
                         if state in finals])
 
-    def heuristic(self, handle: int, backward: DistanceTable) -> float:
+    def heuristic(self, handle: int, backward: tuple) -> float:
         """Remaining-mass estimate of a subset: the semiring sum of residual
-        times the member's value in a backward table of the source
-        automaton. Not memoized: the search asks once per subset.
+        times the member's value in a backward table (a tuple indexed by
+        state) of the source automaton. Not memoized: the search asks once
+        per subset.
 
         The estimate is admissible and consistent when each member's value
         is at most its final weight and, for each label, at most the
         log-sum of its arcs with that label into their targets' values:
         the ``"string"`` view the search uses, or the looser ``"base"``
         view (see :mod:`.distance`)."""
-        beta = backward.values
         subset = self._subsets[handle]
         if len(subset) == 1:
             state, residual = subset[0]
-            return residual + beta[state]
-        return log_sum([residual + beta[state] for state, residual in subset])
+            return residual + backward[state]
+        return log_sum([residual + backward[state]
+                        for state, residual in subset])
 
     def full_expand(self) -> int:
         """Expand every reachable subset; returns the determinized state

@@ -2,13 +2,13 @@
 
 Both tables are computed in a single relaxation pass along the topological
 order, over the package's one weight algebra (``-ln`` weights, see
-:mod:`.semiring`); the tables hold ``-ln`` weights whatever the
-automaton's encoding. The ``view`` argument selects the aggregation:
-``"base"`` takes the log-sum-exp and merges all paths, while
-``"companion"`` takes the ``min`` and keeps only the best path weight (the
-tropical view of the same automaton). Summation order is fixed by the
-topological order and the stored arc order, so results are
-bit-reproducible.
+:mod:`.semiring`); a table is a tuple indexed by state, of ``-ln``
+weights whatever the automaton's encoding. The ``view`` argument
+selects the aggregation: ``"base"`` takes the log-sum-exp and merges all
+paths, while ``"companion"`` takes the ``min`` and keeps only the best
+path weight (the tropical view of the same automaton). Summation order
+is fixed by the topological order and the stored arc order, so results
+are bit-reproducible.
 
 The backward table has a third view, ``"string"``: a bound on the merged
 weight of any one string, which the search uses as its heuristic,
@@ -33,29 +33,12 @@ at least the ``"base"`` table beta, which also merges across labels, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, log1p
 
 from .automaton import Automaton, topological_order
 from .semiring import INF, ONE, ZERO, log_sum
 
 VIEWS = ("base", "companion", "string")
-
-
-@dataclass(frozen=True)
-class DistanceTable:
-    direction: str  # "forward" | "backward"
-    view: str       # "base" | "companion" | "string" (backward only)
-    values: tuple
-
-    def __getitem__(self, state: int) -> float:
-        return self.values[state]
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 def _best(weights) -> float:
@@ -71,13 +54,13 @@ def _aggregate(view: str):
                      f"(string for backward tables only)")
 
 
-def backward_distance(a: Automaton, view: str = "base") -> DistanceTable:
+def backward_distance(a: Automaton, view: str = "base") -> tuple:
     """Per-state aggregated weight of all suffix paths into a final state,
     final weight included; for the ``"string"`` view, the best-string
     bound described in the module docstring. States that reach no final
     state hold zero."""
     if view == "string":
-        return DistanceTable("backward", view, _string_bound(a))
+        return _string_bound(a)
     aggregate = _aggregate(view)
     finals = a.finals
     beta = [ZERO] * a.num_states
@@ -86,7 +69,7 @@ def backward_distance(a: Automaton, view: str = "base") -> DistanceTable:
         if q in finals:
             costs.append(finals[q])
         beta[q] = aggregate(costs)
-    return DistanceTable("backward", view, tuple(beta))
+    return tuple(beta)
 
 
 def _string_bound(a: Automaton) -> tuple:
@@ -115,7 +98,7 @@ def _string_bound(a: Automaton) -> tuple:
     return tuple(u)
 
 
-def forward_distance(a: Automaton, view: str = "base") -> DistanceTable:
+def forward_distance(a: Automaton, view: str = "base") -> tuple:
     """Per-state aggregated weight of all paths from the initial state.
     The initial state holds one (the empty path); unreachable states hold
     zero."""
@@ -129,7 +112,7 @@ def forward_distance(a: Automaton, view: str = "base") -> DistanceTable:
             continue  # nothing to propagate
         for _, weight, target in a.arcs(q):
             incoming[target].append(mass + weight)
-    return DistanceTable("forward", view, tuple(alpha))
+    return tuple(alpha)
 
 
 def total_distance(a: Automaton) -> float:

@@ -4,13 +4,17 @@ Desk-scale only: every complete path is walked, so the path budget guards
 against exponential blowups. Deliberately independent of the search
 stack; only the weight algebra and the automaton model are shared, which
 makes these functions usable as an oracle for differential tests of the
-determinizing search. Paths are scored in ``-ln`` weights; the returned
-weights are converted to the automaton's encoding.
+determinizing search. Like the decoders, every entry point raises
+:class:`ValueError` when :func:`.automaton.validate` rejects the
+automaton: a cycle would be walked forever, and path sums beyond its
+range give weights the search refuses to give. Paths are scored in
+``-ln`` weights; the returned weights are converted to the automaton's
+encoding.
 """
 
 from __future__ import annotations
 
-from .automaton import Automaton, topological_order
+from .automaton import Automaton, validate
 from .errors import BudgetExceededError, EmptyLanguageError
 from .semiring import ONE, ZERO, log_sum
 
@@ -19,7 +23,7 @@ DEFAULT_PATH_BUDGET = 1_000_000
 
 def _string_weights(a: Automaton, path_budget: int) -> dict:
     """Every accepted label sequence and its merged ``-ln`` weight."""
-    topological_order(a)  # refuse cyclic input instead of walking forever
+    validate(a)
     paths = {}   # label sequence -> weights of its complete paths
     count = 0
     # explicit-stack depth-first walk; arc-order traversal keeps the
@@ -68,7 +72,7 @@ def oracle_shortest_path(a: Automaton, *,
     weight (final weight included). Over a non-idempotent semiring this can
     differ from :func:`oracle_shortest_string`, since merging several paths
     that share a string beats each one alone."""
-    topological_order(a)  # refuse cyclic input instead of walking forever
+    validate(a)
     best = None
     paths = 0
     stack = [(a.initial, (), ONE)]

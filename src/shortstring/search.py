@@ -58,7 +58,7 @@ only :attr:`SearchResult.weight` is converted back to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 from operator import lt
 from typing import Callable, Optional
@@ -93,12 +93,7 @@ class Stats:
     dominated: int = 0       # popped subsets skipped by dominance
 
     def as_dict(self) -> dict:
-        return {"popped": self.popped, "pushed": self.pushed,
-                "subsets_built": self.subsets_built,
-                "queue_peak": self.queue_peak,
-                "arcs_relaxed": self.arcs_relaxed,
-                "order_violations": self.order_violations,
-                "dominated": self.dominated}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ is only an :class:`Encoding`, the way weights are written in files and
 shown to users. ``read_text`` checks each written weight against its
 encoding and stores ``to_log`` of it; ``write_text``, search results,
 oracle results and the CLI's printed distances convert back with
-``from_log``.
+``from_log``, which gives ``inf`` for a probability beyond the float
+range.
 """
 
 from __future__ import annotations
@@ -93,8 +94,17 @@ def _identity(value):
     return value
 
 
+def _probability(weight: float) -> float:
+    # a probability beyond the float range, from a weight below about
+    # -709.78, is shown as inf
+    try:
+        return math.exp(-weight)
+    except OverflowError:
+        return INF
+
+
 LOG = Encoding("log", _log_members, _identity, _identity)
-REAL = Encoding("real", _real_members, _neg_logs, lambda w: math.exp(-w))
+REAL = Encoding("real", _real_members, _neg_logs, _probability)
 
 SEMIRINGS = {LOG.name: LOG, REAL.name: REAL}
 

@@ -17,10 +17,11 @@ non-negative integer, every label is positive (or a known token), every
 weight is a member of the encoding and no state has two final weights;
 the states are 0 up to the largest id. Otherwise it raises
 :class:`ParseError` for the first bad record in file order, with its line
-number. Records are converted and checked a column at a time; only when
-a column fails are the lines walked one by one, with the same checks, to
-find and word that record. :func:`.automaton.read_text` builds the
-automaton from the records.
+number. Records are converted and checked a column at a time, a block of
+lines at a time. Each check is stated once, in the column readers: when
+a block fails, its lines are read again one at a time through the same
+readers, and the first that fails on its own is the bad record.
+:func:`.automaton.read_text` builds the automaton from the records.
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ class SymbolTable:
             fields = line.split()
             if len(fields) != 2:
                 raise ParseError("expected 'token id'", lineno)
-            label = _parse_int(fields[1], "symbol id", lineno)
             try:
+                (label,) = _int_column((fields,), 1, "symbol id")
                 table.add(fields[0], label)
-            except ValueError as exc:
+            except ValueError as exc:   # ParseError is one too
                 raise ParseError(str(exc), lineno) from None
         return table
 
@@ -92,31 +93,6 @@ class SymbolTable:
         lines = [f"{token} {label}" for token, label in
                  sorted(self._label_of.items(), key=lambda kv: kv[1])]
         return "\n".join(lines) + "\n" if lines else ""
-
-
-def _parse_int(field: str, what: str, lineno: int) -> int:
-    try:
-        value = int(field)
-    except ValueError:
-        raise ParseError(f"bad {what} {field!r}", lineno) from None
-    if value < 0:
-        raise ParseError(f"negative {what} {field!r}", lineno)
-    return value
-
-
-def _check_weight(field: str, encoding: Encoding, lineno: int) -> None:
-    try:
-        weight = float(field)
-    except ValueError:
-        raise ParseError(f"bad weight {field!r}", lineno) from None
-    if not encoding.is_member(weight):
-        raise ParseError(f"weight {field!r} is not a member of the "
-                         f"{encoding.name} semiring", lineno)
-
-
-class _Rejected(Exception):
-    """A bulk check of :func:`read_records` failed; the lines are then
-    walked one by one to find and word the first bad record."""
 
 
 # lines split at a time: bounds the memory the split fields of a long
@@ -134,132 +110,101 @@ def read_records(text: str, encoding: Encoding,
     ``-ln`` weights. Raises :class:`ParseError` for the first bad
     record in file order, with its line number, and without one for a
     text that holds no record."""
-    try:
-        return _read_columns(text, encoding, symbols)
-    except _Rejected:
-        _raise_first_error(text.splitlines(), encoding, symbols)
-
-
-def _read_columns(text: str, encoding: Encoding,
-                  symbols: Optional[SymbolTable]) -> tuple:
-    # Bulk path: split the lines a block at a time, group the records by
-    # field count and convert and check whole columns. Every check here is
-    # one that _raise_first_error also makes, so a rejected text always
-    # has a bad line for it to find.
     lines = text.splitlines()
     has_comments = "#" in text
     first = next((fields for fields in map(str.split, lines)
                   if fields and fields[0][0] != "#"), None)
     if first is None:
         raise ParseError("no records found")
-    arcs, states, weights = [], [], []
+    arcs, finals = [], {}
     max_state = 0
     for start in range(0, len(lines), _BLOCK):
-        block = _read_block(lines[start:start + _BLOCK], has_comments,
-                            encoding, symbols)
-        arcs += block[0]
-        states += block[1]
-        weights += block[2]
-        max_state = max(max_state, block[3])
-    finals = dict(zip(states, weights))
-    if len(finals) < len(states):
-        raise _Rejected     # a state has two final weights
+        block = lines[start:start + _BLOCK]
+        try:
+            block_arcs, block_finals, block_max = _read_block(
+                block, has_comments, encoding, symbols, finals)
+        except ParseError:
+            # reread the block a line at a time: the first line that fails
+            # on its own, or repeats a final state, is the bad record
+            for lineno, line in enumerate(block, start + 1):
+                try:
+                    finals.update(_read_block((line,), has_comments, encoding,
+                                              symbols, finals)[1])
+                except ParseError as exc:
+                    raise ParseError(str(exc), lineno) from None
+            raise   # each check is per record, so a line has failed above
+        arcs += block_arcs
+        finals.update(block_finals)
+        max_state = max(max_state, block_max)
     return max_state + 1, int(first[0]), arcs, finals
 
 
-def _read_block(lines, has_comments, encoding, symbols) -> tuple:
-    """Arcs, final states, final weights and the largest state id of the
-    records in ``lines``."""
+def _read_block(lines, has_comments, encoding, symbols, finals) -> tuple:
+    """Arcs, final weights and the largest state id of the records in
+    ``lines``; a state that is final in ``finals`` may not be final
+    again. A :class:`ParseError` is worded from the block's first record
+    that the failing check reads, which is the bad record when the block
+    holds one."""
     records = list(map(str.split, lines))
     if has_comments:
         records = [fields for fields in records
                    if fields and fields[0][0] != "#"]
     sizes = list(map(len, records))     # blank lines have no fields
     if max(sizes, default=0) > 4:
-        raise _Rejected
+        raise ParseError(f"expected 1-4 fields, got {max(sizes)}")
     arc_records = list(compress(records, map(_ARC_SIZES.__contains__, sizes)))
     final_records = list(compress(records,
                                   map(_FINAL_SIZES.__contains__, sizes)))
-    sources = _int_column(arc_records, 0)
-    targets = _int_column(arc_records, 1)
-    states = _int_column(final_records, 0)
+    sources = _int_column(arc_records, 0, "source state")
+    targets = _int_column(arc_records, 1, "target state")
+    arcs = list(zip(sources, _label_column(arc_records, symbols),
+                    _weight_column(arc_records, 4, encoding), targets))
+    states = _int_column(final_records, 0, "state")
+    fresh = dict(zip(states, _weight_column(final_records, 2, encoding)))
+    if len(fresh) < len(states) or not finals.keys().isdisjoint(fresh):
+        raise ParseError(f"duplicate final weight for state {states[0]}")
     max_state = max(max(sources, default=0), max(targets, default=0),
                     max(states, default=0))
-    return (list(zip(sources, _label_column(arc_records, symbols),
-                     _weight_column(arc_records, 4, encoding), targets)),
-            states, _weight_column(final_records, 2, encoding), max_state)
+    return arcs, fresh, max_state
 
 
-def _int_column(rows, field: int) -> list:
-    # non-negative integers, as _parse_int requires
+def _int_column(rows, field: int, what: str) -> list:
+    # non-negative integers
     try:
         values = list(map(int, map(itemgetter(field), rows)))
     except ValueError:
-        raise _Rejected from None
+        raise ParseError(f"bad {what} {rows[0][field]!r}") from None
     if min(values, default=0) < 0:
-        raise _Rejected
+        raise ParseError(f"negative {what} {rows[0][field]!r}")
     return values
 
 
 def _label_column(rows, symbols: Optional[SymbolTable]) -> list:
     if symbols is None:
-        labels = _int_column(rows, 2)
+        labels = _int_column(rows, 2, "label")
     else:
         try:
             labels = list(map(symbols.label, map(itemgetter(2), rows)))
         except KeyError:
-            raise _Rejected from None
+            raise ParseError(f"unknown token {rows[0][2]!r}") from None
     if 0 in labels:
-        raise _Rejected
+        raise ParseError("label 0 is reserved for epsilon")
     return labels
 
 
 def _weight_column(rows, width: int, encoding: Encoding) -> list:
     # rows of `width` fields end in a weight; shorter ones weigh one
     weighted = list(map(width.__eq__, map(len, rows)))
+    fields = list(map(itemgetter(width - 1), compress(rows, weighted)))
     try:
-        written = list(map(float, map(itemgetter(width - 1),
-                                      compress(rows, weighted))))
+        written = list(map(float, fields))
     except ValueError:
-        raise _Rejected from None
+        raise ParseError(f"bad weight {fields[0]!r}") from None
     if not encoding.all_members(written):
-        raise _Rejected
+        raise ParseError(f"weight {fields[0]!r} is not a member of the "
+                         f"{encoding.name} semiring")
     weights = encoding.to_log_all(written)
     if len(weights) < len(rows):
         given = iter(weights)
         weights = [next(given) if has else ONE for has in weighted]
     return weights
-
-
-def _raise_first_error(lines, encoding: Encoding,
-                       symbols: Optional[SymbolTable]):
-    """Raise the :class:`ParseError` of the first bad record in ``lines``."""
-    finals = set()
-    for lineno, raw in enumerate(lines, 1):
-        fields = raw.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        if len(fields) in (1, 2):
-            state = _parse_int(fields[0], "state", lineno)
-            if len(fields) == 2:
-                _check_weight(fields[1], encoding, lineno)
-            if state in finals:
-                raise ParseError(f"duplicate final weight for state {state}", lineno)
-            finals.add(state)
-        elif len(fields) in (3, 4):
-            _parse_int(fields[0], "source state", lineno)
-            _parse_int(fields[1], "target state", lineno)
-            if symbols is not None:
-                try:
-                    label = symbols.label(fields[2])
-                except KeyError:
-                    raise ParseError(f"unknown token {fields[2]!r}", lineno) from None
-            else:
-                label = _parse_int(fields[2], "label", lineno)
-            if label == 0:
-                raise ParseError("label 0 is reserved for epsilon", lineno)
-            if len(fields) == 4:
-                _check_weight(fields[3], encoding, lineno)
-        else:
-            raise ParseError(f"expected 1-4 fields, got {len(fields)}", lineno)
-    raise RuntimeError("a bulk check rejected a text whose every record parses")

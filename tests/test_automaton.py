@@ -112,7 +112,8 @@ class TestTopologicalOrder:
         # failures are not memoized: every call reports the cycle
         with pytest.raises(CycleError):
             topological_order(a)
-        assert not validate(a).ok
+        with pytest.raises(CycleError):
+            validate(a)
 
     def test_ids_not_topological(self):
         # arc 3 -> 1 goes from a larger to a smaller id
@@ -126,7 +127,9 @@ class TestTopologicalOrder:
         with pytest.raises(CycleError) as info:
             topological_order(a)
         assert str(info.value) == message
-        assert validate(a).violations == (message,)
+        with pytest.raises(CycleError) as info:
+            validate(a)
+        assert str(info.value) == message
 
     def test_matches_kahn_on_any_numbering(self):
         # forward-numbered lattices take the fast path; renumbered copies
@@ -227,15 +230,12 @@ class TestValidate:
     # checks cycles and path sums.
 
     def test_e1_valid(self, e1):
-        report = validate(e1)
-        assert report.ok
-        assert str(report) == "valid"
+        assert validate(e1) is None
 
     def test_cycle_detected(self):
         a = Automaton(LOG, 4, 0, E1_ARCS + [(3, 1, 0.1, 0)], {3: 0.0})
-        report = validate(a)
-        assert not report.ok
-        assert any("cycle" in v for v in report.violations)
+        with pytest.raises(CycleError, match="^cycle detected"):
+            validate(a)
 
     def test_epsilon_arc_detected(self):
         # built in code, this decoded to the epsilon string (0,)
@@ -274,27 +274,27 @@ class TestValidate:
 
     def test_generated_instances_valid(self):
         for seed in range(25):
-            assert validate(small_instance(seed)).ok
+            validate(small_instance(seed))
 
     def test_path_sums_in_range(self):
         # sums that reach SUM_LIMIT exactly are kept, one past it is not:
         # over the arcs alone, with the final weight, and from a state
         # inside the lattice rather than from the initial one
         half = SUM_LIMIT / 2
-        assert validate(Automaton(LOG, 3, 0, [(0, 1, half, 1), (1, 1, half, 2)],
-                                  {2: 0.0})).ok
+        validate(Automaton(LOG, 3, 0, [(0, 1, half, 1), (1, 1, half, 2)],
+                           {2: 0.0}))
         for arcs, finals in [([(0, 1, half, 1), (1, 1, half * 1.5, 2)], {2: 0.0}),
                              ([(0, 1, half, 1), (1, 1, half, 2)], {2: 1e300}),
                              ([(0, 1, half, 1), (1, 1, -SUM_LIMIT, 2),
                                (2, 1, -half, 3)], {3: 0.0})]:
-            report = validate(Automaton(LOG, 4, 0, arcs, finals))
-            assert len(report.violations) == 1
-            assert "beyond" in report.violations[0]
+            with pytest.raises(ValueError,
+                               match="^path weights sum to .* beyond"):
+                validate(Automaton(LOG, 4, 0, arcs, finals))
 
     def test_unreachable_path_sums_ignored(self):
         a = Automaton(LOG, 4, 0, [(0, 1, 0.5, 1), (2, 1, 1e308, 3),
                                   (3, 1, 1e308, 1)], {1: 0.0})
-        assert validate(a).ok
+        validate(a)
 
 
 class TestReadText:
@@ -408,6 +408,16 @@ PARSE_ERRORS = [
     # the weight column fails in the bulk path, the source column on a
     # later line: the first bad line is reported
     ("0 1 5 abc\n-1 2 5 0.5\n", LOG, "line 1: bad weight 'abc'", 1),
+    # the first record of each column has no weight field
+    ("0 1 5\n1 2 5 x\n2\n", LOG, "line 2: bad weight 'x'", 2),
+    ("0 1 5\n1\n2 1 5\n2 -1\n", REAL,
+     "line 4: weight '-1' is not a member of the real semiring", 4),
+    # a final state of the first block of 4,096 lines repeated in the
+    # second, alone and before a bad weight of its own block
+    ("0 0.5\n" + BIG + "0\n", LOG,
+     "line 5002: duplicate final weight for state 0", 5002),
+    ("0 0.5\n" + BIG + "0\n5000 x\n", LOG,
+     "line 5002: duplicate final weight for state 0", 5002),
 ]
 
 

@@ -1,11 +1,12 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from shortstring import cli, write_text
+from shortstring import LatticeSpec, cli, generate, write_text
 
 from conftest import E1_SYMBOLS_TEXT, E1_TEXT, small_instance, to_real
 
@@ -308,6 +309,36 @@ class TestDecode:
         assert sub.num_states == 3
         assert sub.num_arcs() == 3
 
+    @pytest.mark.parametrize("mode", [
+        (), ("--full",), ("--oracle",), ("--print-distances",), ("--trace",),
+        ("--dump-dfa", "{dump}")],
+        ids=["lazy", "full", "oracle", "distances", "trace", "dump"])
+    def test_real_probability_beyond_float_range(self, capsys, tmp_path, mode):
+        # string 1 has probability 3e308: it exited 1 with an
+        # OverflowError in the conversion back to a probability
+        path = tmp_path / "big.lat"
+        path.write_text("0 1 1 1e308\n1 3\n")
+        mode = [arg.format(dump=tmp_path / "sub.dfa") for arg in mode]
+        code, out, err = run(capsys, "decode", str(path), "--semiring",
+                             "real", *mode)
+        assert code == 0
+        assert out.splitlines()[0] == "1\tinf"
+        assert "Traceback" not in err
+
+    def test_real_oracle_compares_in_log_units(self, capsys, tmp_path):
+        # the two weights of string 1 differ by 1.1e-13 relative, which
+        # is about 8e293 in probability: an absolute comparison of the
+        # probabilities reported a mismatch
+        path = tmp_path / "near.lat"
+        path.write_text("0 2 1 0.07289232370518069\n0 3 1 0.5116559375768347\n"
+                        "0 3 3 0.4154517387179847\n1 1.0\n3 1e-300\n2 1e308\n")
+        code, out, err = run(capsys, "decode", str(path), "--semiring", "real",
+                             "--oracle")
+        assert code == 0
+        decoded, oracle = out.splitlines()
+        assert decoded.startswith("1\t") and oracle.startswith("oracle\t1\t")
+        assert err == ""
+
 
 class TestGen:
     def test_deterministic(self, capsys):
@@ -414,3 +445,55 @@ class TestBench:
                            "--vocab", "2")
         assert code == 3
         assert "depth" in err
+
+
+# field values the fuzz test writes in place of a valid one; state ids
+# stay small, as a huge id makes read_text allocate that many states
+MUTATIONS = ("-1", "x", "nan", "inf", "-inf", "-0.0", "1e308", "-1e308",
+             "1e-320", "+3")
+FLAGS = ((), ("--full",), ("--oracle",), ("--print-distances",), ("--trace",))
+
+
+def _mutated_lattice(rng) -> tuple:
+    lattice = generate(LatticeSpec(
+        depth=rng.randint(1, 4), width=rng.randint(1, 3),
+        vocab=rng.randint(1, 3), merge_prob=rng.random(),
+        seed=rng.randrange(1000)))
+    encoding = rng.choice(("log", "real"))
+    text = write_text(to_real(lattice) if encoding == "real" else lattice)
+    lines = [line.split() for line in text.splitlines()]
+    for fields in lines:
+        if rng.random() < 0.1:
+            # mostly the weight, the last field of a weighted record
+            i = (len(fields) - 1 if rng.random() < 0.7
+                 else rng.randrange(len(fields)))
+            fields[i] = (str(rng.randint(0, lattice.num_states + 1))
+                         if rng.random() < 0.3 else rng.choice(MUTATIONS))
+    if len(lines) > 1 and rng.random() < 0.3:
+        i, j = rng.sample(range(len(lines)), 2)
+        lines[i], lines[j] = lines[j], lines[i]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        lines.insert(rng.randrange(len(lines) + 1), list(rng.choice(lines)))
+    return "".join(" ".join(fields) + "\n" for fields in lines), encoding
+
+
+def test_decode_fuzz(capsys, tmp_path):
+    # mutated lattices in both encodings, through every decode mode: the
+    # command ends in a documented exit code, never a traceback, and
+    # --oracle agrees whenever the decode succeeds
+    rng = random.Random(8)
+    path = tmp_path / "fuzz.lat"
+    seen = set()
+    for _ in range(1200):
+        text, encoding = _mutated_lattice(rng)
+        path.write_text(text)
+        flags = (("--budget", str(rng.randint(1, 5))) if rng.random() < 0.15
+                 else rng.choice(FLAGS))
+        code, out, _ = run(capsys, "decode", str(path), "--semiring", encoding,
+                           *flags)
+        assert code in (0, 2, 3, 4), (text, encoding, flags, code)
+        if code == 0 and "--oracle" in flags:
+            decoded, oracle = out.splitlines()
+            assert oracle.split("\t")[1] == decoded.split("\t")[0], text
+        seen.add(code)
+    assert seen == {0, 2, 3, 4}

@@ -7,9 +7,9 @@ import pytest
 
 from shortstring import (Automaton, BudgetExceededError, DfaCache,
                          EmptyLanguageError, LOG, LatticeSpec, REAL,
-                         approx_eq, backward_distance, generate,
-                         heuristic_audit, oracle_shortest_string,
-                         shortest_string,
+                         approx_eq, backward_distance, enumerate_strings,
+                         generate, heuristic_audit, oracle_shortest_path,
+                         oracle_shortest_string, shortest_string,
                          shortest_string_via_full_determinization, validate)
 from shortstring.search import _Path
 
@@ -123,25 +123,26 @@ class TestSmallCases:
 
 
 class TestContract:
-    """Every decoder refuses what :func:`validate` rejects, and every arc
-    list ends in one documented way."""
+    """Every decoder and the oracle refuse what :func:`validate` rejects,
+    and every arc list ends in one documented way."""
 
     @pytest.mark.parametrize("entry", [
         shortest_string, shortest_string_via_full_determinization,
-        heuristic_audit, DfaCache])
+        heuristic_audit, DfaCache, enumerate_strings, oracle_shortest_string,
+        oracle_shortest_path])
     def test_overflowing_path_sums_refused(self, entry):
         # string 1 3 weighs about 1e308, but the residual of state 2
         # overflowed: built in code, the lazy search reported a false "no
-        # accepting path", the full one a false "accepts no string", and
-        # the audit reported "ok"
+        # accepting path", the full one a false "accepts no string", the
+        # audit reported "ok", and the oracle answered ((1, 3), 1e308)
         a = Automaton(LOG, 6, 0, [(0, 1, -1e308, 1), (0, 1, 1e308, 2),
                                   (2, 3, 1.0, 4), (2, 3, 1.0, 5)],
                       {4: 0.0, 5: 0.0})
-        report = validate(a)
-        assert not report.ok
+        with pytest.raises(ValueError) as report:
+            validate(a)
         with pytest.raises(ValueError) as info:
             entry(a)
-        assert str(info.value) == str(report)
+        assert str(info.value) == str(report.value)
         assert not isinstance(info.value, EmptyLanguageError)
 
     def test_cycle_refused(self):
@@ -189,8 +190,9 @@ def _contract_outcome(rng) -> str:
         a = Automaton(LOG, n, 0, arcs, finals)
     except ValueError:
         return "construct"
-    report = validate(a)
-    if not report.ok:
+    try:
+        validate(a)
+    except ValueError as report:
         with pytest.raises(ValueError) as info:
             DfaCache(a)
         assert str(info.value) == str(report), case
