@@ -8,8 +8,8 @@ best-first search whose heuristic bounds the mass of any one string of
 the source lattice (the ``"string"`` backward view of :mod:`.distance`).
 """
 
-from .automaton import (Arc, Automaton, SymbolTable, read_text,
-                        topological_order, validate, write_text)
+from .automaton import (Automaton, SymbolTable, read_text, topological_order,
+                        validate, write_text)
 from .determinize import DfaCache, dump_text, materialize
 from .distance import backward_distance, forward_distance, total_distance
 from .errors import (BudgetExceededError, CycleError, EmptyLanguageError,
@@ -25,7 +25,7 @@ from .semiring import (LOG, REAL, Encoding, approx_eq, format_weight,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc", "Automaton", "SymbolTable", "read_text", "topological_order",
+    "Automaton", "SymbolTable", "read_text", "topological_order",
     "validate", "write_text",
     "DfaCache", "dump_text", "materialize",
     "backward_distance", "forward_distance", "total_distance",

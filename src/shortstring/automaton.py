@@ -4,9 +4,9 @@ An :class:`Automaton` is a single-initial-state, epsilon-free acceptor whose
 weights are ``-ln`` weights of the log semiring (see :mod:`.semiring`),
 tagged with the encoding they are read and written in. States are dense
 non-negative integers; label 0 is reserved for epsilon and never appears
-on a stored arc. Arcs are grouped by source state and sorted by (label,
-target, weight) so that subset expansion and weight summation are
-deterministic.
+on a stored arc. A state's arcs are plain ``(label, weight, target)``
+tuples sorted by (label, target, weight), so that subset expansion and
+weight summation are deterministic.
 
 The acceptor contract has two halves. :class:`Automaton` checks each
 arc and final entry as it is built; :func:`validate` checks what needs
@@ -18,7 +18,8 @@ arcs and final weights of zero are dropped and counted.
 :func:`topological_order` puts the smallest ready state first; for an
 automaton whose arcs all go from a smaller to a larger state id, as in
 lattices numbered forward, that order is ``0 .. num_states - 1`` and is
-known when the automaton is built.
+known when the automaton is built. On cyclic input it names one arc on
+a cycle, found from the states its pass leaves, without a second walk.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections import Counter
 from itertools import accumulate, repeat
 from operator import itemgetter, lt
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import CycleError
 from .semiring import INF, LOG, ZERO, Encoding
@@ -41,17 +42,11 @@ from .textformat import SymbolTable, read_records
 SUM_LIMIT = sys.float_info.max / 2
 
 
-class Arc(NamedTuple):
-    label: int
-    weight: float
-    target: int
-
-
-# Arcs are (source, label, weight, target) tuples. Sorting them by
-# (source, label, target, weight) groups them by source and orders each
-# state's arcs; the stored Arc is (label, weight, target).
-_ORDER = itemgetter(0, 1, 3, 2)
-_ARC_FIELDS = itemgetter(1, 2, 3)
+# Arcs come as (source, label, weight, target) tuples. Sorting them as
+# (source, label, target, weight) rows groups them by source and orders
+# each state's arcs; the stored arc is the row's (label, weight, target).
+_ROW = itemgetter(0, 1, 3, 2)
+_ARC = itemgetter(1, 3, 2)
 
 
 class Automaton:
@@ -94,14 +89,12 @@ class Automaton:
         if ZERO in weights:
             arcs = [arc for arc in arcs if arc[2] != ZERO]
             sources, _, weights, targets = tuple(zip(*arcs)) or ((),) * 4
-        arcs.sort(key=_ORDER)
-        # arcs are grouped by source: state q's arcs start after the arcs
-        # of the states before it
+        flat = tuple(map(_ARC, sorted(map(_ROW, arcs))))
+        # the arcs are grouped by source: state q's arcs start after the
+        # arcs of the states before it
         counts = Counter(sources)
         bounds = list(accumulate(map(counts.get, range(num_states), repeat(0)),
                                  initial=0))
-        # an Arc for every arc, built without a Python call per arc
-        flat = tuple(map(tuple.__new__, repeat(Arc), map(_ARC_FIELDS, arcs)))
         kept = dict(sorted(finals.items()))
         if ZERO in kept.values():
             kept = {q: w for q, w in kept.items() if w != ZERO}
@@ -112,16 +105,13 @@ class Automaton:
         self.pruned_finals = len(finals) - len(kept)
         self._arcs = tuple(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
         self._finals = kept
+        self.finals = MappingProxyType(kept)
         # the largest weight magnitude, which bounds validate()'s path sums
         self._magnitude = max(max(weights, default=0.0), -min(weights, default=0.0),
                               *map(abs, kept.values()))
         # memo of topological_order once it succeeded; an automaton whose
         # arcs all go from a smaller to a larger state id is ordered by id
         self._order = range(num_states) if all(map(lt, sources, targets)) else None
-
-    @property
-    def finals(self):
-        return MappingProxyType(self._finals)
 
     def arcs(self, state: int) -> tuple:
         return self._arcs[state]
@@ -172,10 +162,10 @@ def validate(a: Automaton) -> None:
     """Check the part of the acceptor contract that needs the whole graph.
 
     :class:`Automaton` has already checked each arc and final entry. A
-    valid automaton is also acyclic, or :class:`CycleError` names a back
-    arc, and every path from a state the initial one reaches sums to at
-    most ``SUM_LIMIT`` in magnitude, its final weight included or not, or
-    :class:`ValueError` gives the range of the sums. So no sum the
+    valid automaton is also acyclic, or :class:`CycleError` names an arc
+    on a cycle, and every path from a state the initial one reaches sums
+    to at most ``SUM_LIMIT`` in magnitude, its final weight included or
+    not, or :class:`ValueError` gives the range of the sums. So no sum the
     decoders form, nor a residual, overflows to a false ``+inf`` (no
     path) or ``-inf``.
     """
@@ -212,11 +202,12 @@ def _path_sum_range(a: Automaton, order: list) -> tuple:
 def topological_order(a: Automaton) -> list:
     """States ordered so every arc goes forward; smallest-id-first among
     ready states, so the result is unique. Raises :class:`CycleError` on
-    cyclic input, naming one back arc. The order is computed once per
-    automaton and returned as a fresh list on every call. When every arc
-    goes from a smaller to a larger state id, the order is known from
-    construction: it is ``0 .. num_states - 1``, since each state's
-    predecessors all have smaller ids."""
+    cyclic input, naming one arc on a cycle, found from the states the
+    pass leaves. The order is computed once per automaton and returned as
+    a fresh list on every call. When every arc goes from a smaller to a
+    larger state id, the order is known from construction: it is
+    ``0 .. num_states - 1``, since each state's predecessors all have
+    smaller ids."""
     if a._order is not None:
         return list(a._order)
     indegree = [0] * a.num_states
@@ -228,40 +219,25 @@ def topological_order(a: Automaton) -> list:
     while ready:
         q = heapq.heappop(ready)
         order.append(q)
-        for arc in a.arcs(q):
-            indegree[arc.target] -= 1
-            if indegree[arc.target] == 0:
-                heapq.heappush(ready, arc.target)
+        for _, _, target in a.arcs(q):
+            indegree[target] -= 1
+            if indegree[target] == 0:
+                heapq.heappush(ready, target)
     if len(order) < a.num_states:
-        raise CycleError(f"cycle detected: arc {_find_back_arc(a)} closes a loop")
+        # every state the pass left has a predecessor that it left too, so
+        # walking predecessors from one of them repeats a state, and the
+        # arc into that state lies on a cycle
+        left = [q for q, count in enumerate(indegree) if count]
+        pred = {target: q for q in left
+                for _, _, target in a.arcs(q) if indegree[target]}
+        q = left[0]
+        seen = set()
+        while q not in seen:
+            seen.add(q)
+            q = pred[q]
+        raise CycleError(f"cycle detected: arc {pred[q]}->{q} closes a loop")
     a._order = tuple(order)
     return order
-
-
-def _find_back_arc(a: Automaton) -> str:
-    # DFS with an on-stack set; returns "u->v" for one arc inside a cycle.
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * a.num_states
-    for root in range(a.num_states):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, 0)]
-        color[root] = GREY
-        while stack:
-            q, i = stack[-1]
-            arcs = a.arcs(q)
-            if i < len(arcs):
-                stack[-1] = (q, i + 1)
-                t = arcs[i].target
-                if color[t] == GREY:
-                    return f"{q}->{t}"
-                if color[t] == WHITE:
-                    color[t] = GREY
-                    stack.append((t, 0))
-            else:
-                color[q] = BLACK
-                stack.pop()
-    return "?"
 
 
 def read_text(text: str, encoding: Encoding,

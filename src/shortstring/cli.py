@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .automaton import SymbolTable, read_text, validate, write_text
@@ -31,7 +32,10 @@ EXIT_EMPTY = 2
 EXIT_INVALID = 3
 EXIT_BUDGET = 4
 
-ORACLE_TOLERANCE = 1e-6   # --oracle's largest weight difference, in -ln units
+# --oracle's largest weight difference, in -ln units: this much, or a
+# relative ORACLE_REL_TOLERANCE of the weights when that is larger
+ORACLE_TOLERANCE = 1e-6
+ORACLE_REL_TOLERANCE = 1e-12
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,8 +174,11 @@ def _cmd_decode(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BUDGET
         print(f"oracle\t{_render(labels, symbols)}\t{weight:.6f}")
-        gap = encoding.to_log(weight) - encoding.to_log(result.weight)
-        if labels != result.labels or abs(gap) > ORACLE_TOLERANCE:
+        close = math.isclose(encoding.to_log(weight),
+                             encoding.to_log(result.weight),
+                             rel_tol=ORACLE_REL_TOLERANCE,
+                             abs_tol=ORACLE_TOLERANCE)
+        if labels != result.labels or not close:
             print("error: search and oracle disagree", file=sys.stderr)
             return EXIT_MISMATCH
     return EXIT_OK

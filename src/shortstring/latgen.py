@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import time
 from dataclasses import dataclass
 
@@ -150,15 +151,11 @@ def loglog_slope(rows) -> float:
               for row in rows
               if row.status == "ok" and row.nfa_states > 0
               and row.visited_states and row.visited_states > 0]
-    if len(points) < 2:
+    try:
+        return statistics.linear_regression([x for x, _ in points],
+                                            [y for _, y in points]).slope
+    except statistics.StatisticsError:
         return math.nan
-    mean_x = math.fsum(x for x, _ in points) / len(points)
-    mean_y = math.fsum(y for _, y in points) / len(points)
-    var_x = math.fsum((x - mean_x) ** 2 for x, _ in points)
-    if var_x == 0.0:
-        return math.nan
-    cov = math.fsum((x - mean_x) * (y - mean_y) for x, y in points)
-    return cov / var_x
 
 
 def bench_csv(rows) -> str:

@@ -21,10 +21,10 @@ from .semiring import ONE, ZERO, log_sum
 DEFAULT_PATH_BUDGET = 1_000_000
 
 
-def _string_weights(a: Automaton, path_budget: int) -> dict:
-    """Every accepted label sequence and its merged ``-ln`` weight."""
+def _complete_paths(a: Automaton, path_budget: int):
+    """Yield every complete path's label sequence and ``-ln`` weight, its
+    final weight included."""
     validate(a)
-    paths = {}   # label sequence -> weights of its complete paths
     count = 0
     # explicit-stack depth-first walk; arc-order traversal keeps the
     # aggregation order, and therefore the floats, reproducible
@@ -36,9 +36,16 @@ def _string_weights(a: Automaton, path_budget: int) -> dict:
             count += 1
             if count > path_budget:
                 raise BudgetExceededError(f"path budget {path_budget} exceeded")
-            paths.setdefault(labels, []).append(weight + final)
+            yield labels, weight + final
         for label, arc_weight, target in reversed(a.arcs(state)):
             stack.append((target, labels + (label,), weight + arc_weight))
+
+
+def _string_weights(a: Automaton, path_budget: int) -> dict:
+    """Every accepted label sequence and its merged ``-ln`` weight."""
+    paths = {}   # label sequence -> weights of its complete paths
+    for labels, weight in _complete_paths(a, path_budget):
+        paths.setdefault(labels, []).append(weight)
     return {labels: log_sum(weights) for labels, weights in paths.items()}
 
 
@@ -72,22 +79,9 @@ def oracle_shortest_path(a: Automaton, *,
     weight (final weight included). Over a non-idempotent semiring this can
     differ from :func:`oracle_shortest_string`, since merging several paths
     that share a string beats each one alone."""
-    validate(a)
-    best = None
-    paths = 0
-    stack = [(a.initial, (), ONE)]
-    while stack:
-        state, labels, weight = stack.pop()
-        final = a.final_weight(state)
-        if final != ZERO:
-            paths += 1
-            if paths > path_budget:
-                raise BudgetExceededError(f"path budget {path_budget} exceeded")
-            key = (weight + final, len(labels), labels)
-            if best is None or key < best:
-                best = key
-        for label, arc_weight, target in reversed(a.arcs(state)):
-            stack.append((target, labels + (label,), weight + arc_weight))
+    best = min(((weight, len(labels), labels)
+                for labels, weight in _complete_paths(a, path_budget)),
+               default=None)
     if best is None:
         raise EmptyLanguageError("the automaton accepts no string")
     return best[2], a.encoding.from_log(best[0])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from shortstring import (Arc, Automaton, CycleError, LOG, LatticeSpec,
+from shortstring import (Automaton, CycleError, LOG, LatticeSpec,
                          ParseError, REAL, SymbolTable, generate, read_text,
                          topological_order, validate, write_text)
 
@@ -27,9 +27,9 @@ class TestConstruction:
         assert e1.final_weight(0) == INF
 
     def test_arcs_sorted_by_label_then_target(self, e1):
-        labels = [arc.label for arc in e1.arcs(0)]
+        labels = [label for label, _, _ in e1.arcs(0)]
         assert labels == sorted(labels)
-        targets = [arc.target for arc in e1.arcs(0) if arc.label == 1]
+        targets = [target for label, _, target in e1.arcs(0) if label == 1]
         assert targets == sorted(targets)
 
     def test_zero_weight_arcs_and_finals_pruned(self):
@@ -40,6 +40,12 @@ class TestConstruction:
         assert a.pruned_arcs == 2
         assert a.pruned_finals == 1
         assert not a.is_final(2)
+
+    def test_finals_is_a_read_only_view_built_once(self, e1):
+        assert e1.finals is e1.finals
+        assert dict(e1.finals) == {3: 0.0}
+        with pytest.raises(TypeError):
+            e1.finals[0] = 0.0
 
     def test_parallel_arcs_kept(self):
         a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (0, 1, 0.5, 1)], {1: 0.0})
@@ -131,6 +137,33 @@ class TestTopologicalOrder:
             validate(a)
         assert str(info.value) == message
 
+    def test_named_arc_lies_on_a_cycle(self):
+        # random graphs, most of them cyclic: the named u->v must be an
+        # arc of the automaton, and v must reach u
+        rng = random.Random(11)
+        cyclic = 0
+        while cyclic < 10_000:
+            n = rng.randint(1, 8)
+            arcs = [(rng.randrange(n), rng.randint(1, 3), 0.5, rng.randrange(n))
+                    for _ in range(rng.randint(1, 12))]
+            a = Automaton(LOG, n, 0, arcs, {})
+            try:
+                topological_order(a)
+                continue
+            except CycleError as exc:
+                named = str(exc)
+            cyclic += 1
+            u, v = map(int, named.split()[3].split("->"))
+            assert named == f"cycle detected: arc {u}->{v} closes a loop"
+            assert any(s == u and t == v for s, _, _, t in arcs)
+            reached, frontier = {v}, [v]
+            while frontier:
+                for _, _, t in a.arcs(frontier.pop()):
+                    if t not in reached:
+                        reached.add(t)
+                        frontier.append(t)
+            assert u in reached, (arcs, named)
+
     def test_matches_kahn_on_any_numbering(self):
         # forward-numbered lattices take the fast path; renumbered copies
         # of the same lattices go through the sort
@@ -165,22 +198,22 @@ def kahn_order(a):
     while ready:
         q = heapq.heappop(ready)
         order.append(q)
-        for arc in a.arcs(q):
-            indegree[arc.target] -= 1
-            if indegree[arc.target] == 0:
-                heapq.heappush(ready, arc.target)
+        for _, _, target in a.arcs(q):
+            indegree[target] -= 1
+            if indegree[target] == 0:
+                heapq.heappush(ready, target)
     return order
 
 
 def sorted_per_state(num_states, arcs):
     """Each state's arcs sorted on their own by (label, target, weight),
-    built one Arc at a time: the reference for the stored arc order."""
+    built one tuple at a time: the reference for the stored arc order."""
     per_state = [[] for _ in range(num_states)]
     for source, label, weight, target in arcs:
         if weight != INF:
-            per_state[source].append(Arc(label, weight, target))
+            per_state[source].append((label, weight, target))
     for arcs_of_state in per_state:
-        arcs_of_state.sort(key=lambda arc: (arc.label, arc.target, arc.weight))
+        arcs_of_state.sort(key=lambda arc: (arc[0], arc[2], arc[1]))
     return [tuple(arcs_of_state) for arcs_of_state in per_state]
 
 
@@ -196,11 +229,11 @@ class TestArcOrder:
             for q in range(a.num_states):
                 arcs = a.arcs(q)
                 assert arcs == expected[q]
-                assert all(type(arc) is Arc for arc in arcs)
-                assert [(arc.label, arc.weight.hex(), arc.target)
-                        for arc in arcs] == \
-                    [(arc.label, arc.weight.hex(), arc.target)
-                     for arc in expected[q]]
+                assert all(type(arc) is tuple for arc in arcs)
+                assert [(label, weight.hex(), target)
+                        for label, weight, target in arcs] == \
+                    [(label, weight.hex(), target)
+                     for label, weight, target in expected[q]]
 
     def test_text_longer_than_a_block(self):
         a = generate(LatticeSpec(depth=400, width=4, vocab=4, merge_prob=0.3,
@@ -314,7 +347,8 @@ class TestReadText:
     def test_missing_weights_default_to_one(self):
         for encoding in (LOG, REAL):
             a = read_text("0 1 5\n1\n", encoding)
-            assert a.arcs(0)[0].weight == 0.0
+            (_, weight, _), = a.arcs(0)
+            assert weight == 0.0
             assert a.final_weight(1) == 0.0
 
     def test_comments_and_blank_lines(self):
@@ -372,7 +406,7 @@ class TestReadText:
                                ("0 1 5 inf\n0 2 5 0.5\n2 inf\n1 0.0\n1 2 6\n", LOG)):
             a = read_text(text, encoding)
             assert (a.pruned_arcs, a.pruned_finals) == (1, 1)
-            assert [arc.target for arc in a.arcs(0)] == [2]
+            assert [target for _, _, target in a.arcs(0)] == [2]
             assert a.arcs(1) == ((6, 0.0, 2),)
             assert dict(a.finals) == {1: 0.0}
 
@@ -458,7 +492,8 @@ class TestWriteText:
         weird = 0.1 + 0.2  # 0.30000000000000004
         a = Automaton(LOG, 2, 0, [(0, 1, weird, 1)], {1: 1e-17})
         again = read_text(write_text(a), LOG)
-        assert again.arcs(0)[0].weight == weird
+        (_, weight, _), = again.arcs(0)
+        assert weight == weird
         assert again.final_weight(1) == 1e-17
 
     def test_initial_block_first(self):

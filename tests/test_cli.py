@@ -339,6 +339,45 @@ class TestDecode:
         assert decoded.startswith("1\t") and oracle.startswith("oracle\t1\t")
         assert err == ""
 
+    def test_log_oracle_allows_an_ulp_on_large_weights(self, capsys, tmp_path):
+        # both sides give string "1 1"; the weights, near 2e12, differ in
+        # their last bit, which is 2.4e-4 and over the absolute tolerance
+        path = tmp_path / "large.lat"
+        path.write_text("0 1 1 1000000000000.2816\n0 2 1 1000000000000.7653\n"
+                        "0 2 2 1000000000001.4167\n1 2 2 1000000000000.799\n"
+                        "1 2 2 1000000000001.8223\n2 3 1 1000000000000.0763\n"
+                        "2 3 1 1000000000002.7042\n2 3 2 1000000000002.0594\n"
+                        "3 0.0\n")
+        code, out, err = run(capsys, "decode", str(path), "--oracle")
+        assert code == 0, err
+        assert out == ("1 1\t2000000000000.771973\n"
+                       "oracle\t1 1\t2000000000000.771729\n")
+
+    def test_log_oracle_on_large_weight_lattices(self, capsys, tmp_path):
+        # weights 1e12 + U(0, 3) on 3-8 states: an absolute tolerance of
+        # 1e-6 is below an ulp of the sums, and reported false mismatches;
+        # consecutive states get at least one arc, so the last is reached
+        path = tmp_path / "large.lat"
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(3, 8)
+            lines = [f"{s} {t} {rng.randint(1, 2)} {1e12 + rng.uniform(0, 3)!r}"
+                     for s in range(n - 1) for t in range(s + 1, n)
+                     for _ in range(rng.randint(1 if t == s + 1 else 0, 2))]
+            path.write_text("\n".join(lines) + f"\n{n - 1} 0.0\n")
+            code, _, err = run(capsys, "decode", str(path), "--oracle")
+            assert code == 0, (seed, err)
+
+    def test_oracle_tolerance_still_absolute_on_small_weights(
+            self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "plain.lat"
+        path.write_text("0 1 1 0.5\n1 0.0\n")
+        for gap, expected in ((0.9e-6, 0), (1.1e-6, 1)):
+            monkeypatch.setattr(cli, "oracle_shortest_string",
+                                lambda a, path_budget: ((1,), 0.5 + gap))
+            code, _, _ = run(capsys, "decode", str(path), "--oracle")
+            assert code == expected
+
 
 class TestGen:
     def test_deterministic(self, capsys):

@@ -134,7 +134,8 @@ def test_real_round_trip_property():
         [math.exp(rng.uniform(-700.0, 5.0)) for _ in range(500)]
     for p in probabilities:
         a = read_text(f"0 1 1 {p!r}\n1 {p!r}\n", REAL)
-        assert a.arcs(0)[0].weight == -math.log(p)
+        (_, weight, _), = a.arcs(0)
+        assert weight == -math.log(p)
         assert a.final_weight(1) == -math.log(p)
         written = [float(line.split()[-1]) for line in write_text(a).splitlines()]
         for q in written:
