@@ -7,11 +7,15 @@ unknown option, exits 3 for every command; ``-h`` exits 0.
 ``--semiring`` names the encoding of the lattice's weights (``log``:
 ``-ln p``; ``real``: probabilities). Decoding always runs in ``-ln``
 weights; printed weights are converted back to the encoding.
+
+``main(argv)`` may be called repeatedly in one process: it builds the
+argument parser on its first call and reuses it after.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,6 +42,10 @@ ORACLE_TOLERANCE = 1e-6
 ORACLE_REL_TOLERANCE = 1e-12
 
 
+# Built once per process, on first use. Reuse is safe while parse_args
+# returns a fresh Namespace and no action keeps state between calls: no
+# append or count actions, no mutable defaults.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shortstring",

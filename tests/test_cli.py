@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -424,6 +425,17 @@ def test_bad_skew_rejected(capsys, command, skew, message):
     assert err == f"error: {message}\n"
 
 
+def _scrub_wall_time(csv):
+    # bench rows with the wall_time_us column blanked
+    rows = []
+    for line in csv.splitlines():
+        fields = line.split(",")
+        if len(fields) > 7:
+            fields[7] = "?"
+        rows.append(",".join(fields))
+    return rows
+
+
 class TestBench:
     def test_row_count_and_shape(self, capsys):
         code, out, _ = run(capsys, "bench", "--depths", "3,4", "--width", "2",
@@ -460,17 +472,7 @@ class TestBench:
                 "--seeds", "2")
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
-
-        def scrub(text):
-            rows = []
-            for line in text.splitlines():
-                fields = line.split(",")
-                if len(fields) > 7:
-                    fields[7] = "?"
-                rows.append(",".join(fields))
-            return rows
-
-        assert scrub(first) == scrub(second)
+        assert _scrub_wall_time(first) == _scrub_wall_time(second)
 
     def test_nonpositive_budget_rejected(self, capsys):
         code, out, err = run(capsys, "bench", "--depths", "3", "--width", "2",
@@ -484,6 +486,87 @@ class TestBench:
                            "--vocab", "2")
         assert code == 3
         assert "depth" in err
+
+
+class TestRepeatedCalls:
+    # main() reuses one parser for every call in the process, so no call
+    # may see an earlier one's arguments, whatever the order
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_same_results_in_either_order(self, capsys, e1_file,
+                                          e1_numeric_file, symbols_file):
+        e1 = e1_numeric_file
+        argvs = [
+            ("decode", e1), ("decode", e1, "--stats"),
+            ("decode", e1, "--budget", "1"),
+            ("decode", e1, "--bogus"), ("decode", e1, "--oracle"),
+            ("decode", "-h"), ("decode", e1, "--full"),
+            ("decode", e1_file, "--symbols", symbols_file), ("decode", e1),
+            ("gen", "--depth", "3", "--width", "2", "--vocab", "2",
+             "--seed", "4"),
+            ("bench", "--depths", "3,4", "--width", "2", "--vocab", "2",
+             "--seeds", "2")]
+
+        def result(argv):
+            code, out, err = run(capsys, *argv)
+            return code, (_scrub_wall_time(out) if argv[0] == "bench"
+                          else out), err
+
+        forward = [result(argv) for argv in argvs]
+        backward = [result(argv) for argv in reversed(argvs)]
+        assert forward == backward[::-1]
+        assert [code for code, _, _ in forward] == [0, 0, 4, 3, 0, 0, 0, 0,
+                                                    0, 0, 0]
+        assert forward[-4][1] == "a b\t0.601861\n"
+        assert forward[-3][1] == "1 2\t0.601861\n"
+
+
+def test_decode_leaves_no_cyclic_garbage(capsys, tmp_path, e1_numeric_file):
+    # a decode frees what it allocates by reference counting alone, so
+    # the cyclic collector finds nothing after it on any exit path. Not
+    # covered: usage errors and -h (argparse's own exit leaves cycles) and
+    # lattices with many tied strings (search._Path's comparison memo
+    # links the two paths it compared)
+    def lattice_file(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    e1 = e1_numeric_file
+    argvs = [
+        ("decode", e1), ("decode", e1, "--stats"), ("decode", e1, "--full"),
+        ("decode", e1, "--oracle"), ("decode", e1, "--trace"),
+        ("decode", e1, "--print-distances"),
+        ("decode", e1, "--dump-dfa", str(tmp_path / "dfa.txt")),
+        ("decode", lattice_file("empty.lat", "0 1 5 0.5\n"), "--stats"),
+        ("decode", lattice_file("bad.lat", "0 1 5 0.5\nbogus line\n")),
+        ("decode", lattice_file("cyclic.lat",
+                                "0 1 5 0.5\n1 0 5 0.5\n1 0.0\n")),
+        ("decode", e1, "--budget", "1", "--stats")]
+    for seed in range(2):
+        wide = generate(LatticeSpec(depth=6, width=10, vocab=4,
+                                    merge_prob=0.3, seed=seed))
+        ambig = generate(LatticeSpec(depth=12, width=5, vocab=3,
+                                     merge_prob=0.2, seed=seed))
+        argvs += [("decode", lattice_file(f"wide{seed}.lat",
+                                          write_text(to_real(wide))),
+                   "--semiring", "real", "--stats"),
+                  ("decode", lattice_file(f"ambig{seed}.lat",
+                                          write_text(ambig)), "--stats")]
+    run(capsys, *argvs[0])
+    codes = []
+    gc.disable()    # or a collection during a call would hide its cycles
+    try:
+        for argv in argvs:
+            gc.collect()
+            codes.append(cli.main(list(argv)))
+            assert gc.collect() == 0, argv
+            capsys.readouterr()
+    finally:
+        gc.enable()
+    assert codes == [0] * 7 + [2, 3, 3, 4] + [0] * 4
 
 
 # field values the fuzz test writes in place of a valid one; state ids
