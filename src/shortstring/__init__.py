@@ -8,8 +8,7 @@ best-first search whose heuristic bounds the mass of any one string of
 the source lattice (the ``"string"`` backward view of :mod:`.distance`).
 """
 
-from .automaton import (Automaton, SymbolTable, read_text, topological_order,
-                        validate, write_text)
+from .automaton import Automaton, topological_order, validate
 from .determinize import DfaCache, dump_text, materialize
 from .distance import backward_distance, forward_distance, total_distance
 from .errors import (BudgetExceededError, CycleError, EmptyLanguageError,
@@ -21,6 +20,7 @@ from .search import (AuditReport, SearchResult, Stats, heuristic_audit,
                      shortest_string, shortest_string_via_full_determinization)
 from .semiring import (LOG, REAL, Encoding, approx_eq, format_weight,
                        get_semiring, log_sum)
+from .textformat import SymbolTable, read_text, write_text
 
 __version__ = "0.1.0"
 

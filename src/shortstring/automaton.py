@@ -1,4 +1,4 @@
-"""Acyclic weighted acceptors: data model, validation, and text I/O.
+"""Acyclic weighted acceptors: data model and validation.
 
 An :class:`Automaton` is a single-initial-state, epsilon-free acceptor whose
 weights are ``-ln`` weights of the log semiring (see :mod:`.semiring`),
@@ -12,13 +12,11 @@ The acceptor contract has two halves. :class:`Automaton` checks each
 arc and final entry as it is built; :func:`validate` checks what needs
 the whole graph, cycles and path sums, and raises on the first
 violation. Every decoder and the oracle refuse what it rejects (see
-:class:`.determinize.DfaCache`). :func:`read_text` and
-:func:`write_text` read and write the text format of :mod:`.textformat`;
-arcs and final weights of zero are dropped and counted.
-:func:`topological_order` puts the smallest ready state first; for an
-automaton whose arcs all go from a smaller to a larger state id, as in
-lattices numbered forward, that order is ``0 .. num_states - 1`` and is
-known when the automaton is built. On cyclic input it names one arc on
+:class:`.determinize.DfaCache`). Arcs and final weights of zero are
+dropped and counted. :func:`topological_order` puts the smallest ready
+state first; for an automaton whose arcs all go from a smaller to a
+larger state id, as in lattices numbered forward, that order is
+``0 .. num_states - 1`` and is known when the automaton is built. On cyclic input it names one arc on
 a cycle, found from the states its pass leaves, without a second walk.
 """
 
@@ -30,11 +28,10 @@ from collections import Counter
 from itertools import accumulate, repeat
 from operator import itemgetter, lt
 from types import MappingProxyType
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .errors import CycleError
 from .semiring import INF, LOG, ZERO, Encoding
-from .textformat import SymbolTable, read_records
 
 
 # validate() bounds path sums by half the largest float in magnitude, so
@@ -57,9 +54,10 @@ class Automaton:
     weights floats, stored as given. Weights are ``-ln`` weights
     whatever the ``encoding``, which only says how the automaton's weights
     are written and shown; build from probabilities with ``REAL.to_log``
-    or :func:`read_text`. Arcs and final entries whose weight equals the
-    semiring zero (``+inf``) denote absence and are silently dropped; the
-    drop counts are kept in ``pruned_arcs`` / ``pruned_finals``.
+    or :func:`.textformat.read_text`. Arcs and final entries whose weight
+    equals the semiring zero (``+inf``) denote absence and are silently
+    dropped; the drop counts are kept in ``pruned_arcs`` /
+    ``pruned_finals``.
 
     Every arc and final entry, dropped ones included, must have its
     states in ``0 .. num_states - 1``, a label of at least 1 and a weight
@@ -238,43 +236,3 @@ def topological_order(a: Automaton) -> list:
         raise CycleError(f"cycle detected: arc {pred[q]}->{q} closes a loop")
     a._order = tuple(order)
     return order
-
-
-def read_text(text: str, encoding: Encoding,
-              symbols: Optional[SymbolTable] = None) -> Automaton:
-    """Parse the acceptor text format into an :class:`Automaton`.
-
-    Weights are checked against ``encoding`` and stored as ``-ln`` weights.
-    The source state of the first record becomes the initial state. Labels
-    are looked up in ``symbols`` when given, else parsed as integers; label
-    0 is rejected. Omitted weights default to the semiring one. The first
-    bad record in file order raises :class:`ParseError` with its line
-    number; text without records raises it without one (see
-    :mod:`.textformat`).
-    """
-    return Automaton(encoding, *read_records(text, encoding, symbols))
-
-
-def write_text(a: Automaton, symbols: Optional[SymbolTable] = None) -> str:
-    """Serialize to the acceptor text format; inverse of :func:`read_text`.
-
-    The initial state's block comes first so it is re-read as initial.
-    Weights are written in the automaton's encoding with full round-trip
-    precision (``log`` weights are re-read bit for bit; ``real`` ones go
-    through ``exp`` and ``ln`` and may move by an ulp). States that carry
-    no arc, no final weight, and no incoming arc are not representable in
-    the format and are dropped on a round trip.
-    """
-    if not a.arcs(a.initial) and not a.is_final(a.initial):
-        raise ValueError("initial state has no arcs and no final weight; "
-                         "the text format cannot represent it")
-    from_log = a.encoding.from_log
-    lines = []
-    order = [a.initial] + [q for q in range(a.num_states) if q != a.initial]
-    for q in order:
-        for label, weight, target in a.arcs(q):
-            token = symbols.token(label) if symbols is not None else str(label)
-            lines.append(f"{q} {target} {token} {from_log(weight)!r}")
-        if a.is_final(q):
-            lines.append(f"{q} {from_log(a.final_weight(q))!r}")
-    return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ import json
 import math
 import sys
 
-from .automaton import SymbolTable, read_text, validate, write_text
+from .automaton import validate
 from .determinize import DfaCache, dump_text
 from .distance import backward_distance, forward_distance
 from .errors import BudgetExceededError, EmptyLanguageError, ParseError
@@ -29,6 +29,7 @@ from .oracle import oracle_shortest_string
 from .search import (HEURISTIC_VIEW, shortest_string,
                      shortest_string_via_full_determinization)
 from .semiring import format_weight, get_semiring
+from .textformat import SymbolTable, read_text, write_text
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from math import exp, log1p
 
-from .automaton import Automaton, validate, write_text
+from .automaton import Automaton, validate
 from .errors import BudgetExceededError
 from .semiring import ONE, ZERO, log_sum
+from .textformat import write_text
 
 
 class DfaCache:

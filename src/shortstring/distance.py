@@ -1,14 +1,15 @@
 """Forward and backward shortest-distance tables over acyclic acceptors.
 
-Both tables are computed in a single relaxation pass along the topological
-order, over the package's one weight algebra (``-ln`` weights, see
-:mod:`.semiring`); a table is a tuple indexed by state, of ``-ln``
-weights whatever the automaton's encoding. The ``view`` argument
-selects the aggregation: ``"base"`` takes the log-sum-exp and merges all
-paths, while ``"companion"`` takes the ``min`` and keeps only the best
-path weight (the tropical view of the same automaton). Summation order
-is fixed by the topological order and the stored arc order, so results
-are bit-reproducible.
+Both tables refuse what :func:`.automaton.validate` rejects, whose
+error passes through, and are computed in a single relaxation pass
+along the topological order, over the package's one weight algebra
+(``-ln`` weights, see :mod:`.semiring`); a table is a tuple indexed by
+state, of ``-ln`` weights whatever the automaton's encoding. The
+``view`` argument selects the aggregation: ``"base"`` takes the
+log-sum-exp and merges all paths, while ``"companion"`` takes the
+``min`` and keeps only the best path weight (the tropical view of the
+same automaton). Summation order is fixed by the topological order and
+the stored arc order, so results are bit-reproducible.
 
 The backward table has a third view, ``"string"``: a bound on the merged
 weight of any one string, which the search uses as its heuristic,
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from math import exp, log1p
 
-from .automaton import Automaton, topological_order
+from .automaton import Automaton, topological_order, validate
 from .semiring import INF, ONE, ZERO, log_sum
 
 VIEWS = ("base", "companion", "string")
@@ -59,6 +60,7 @@ def backward_distance(a: Automaton, view: str = "base") -> tuple:
     final weight included; for the ``"string"`` view, the best-string
     bound described in the module docstring. States that reach no final
     state hold zero."""
+    validate(a)
     if view == "string":
         return _string_bound(a)
     aggregate = _aggregate(view)
@@ -102,6 +104,7 @@ def forward_distance(a: Automaton, view: str = "base") -> tuple:
     """Per-state aggregated weight of all paths from the initial state.
     The initial state holds one (the empty path); unreachable states hold
     zero."""
+    validate(a)
     aggregate = _aggregate(view)
     incoming = [[] for _ in range(a.num_states)]   # per state: path weights
     incoming[a.initial].append(ONE)

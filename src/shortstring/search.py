@@ -117,12 +117,15 @@ def shortest_string(a: Automaton, *, state_budget: int | None = None,
     reaches are ever built. Pass ``cache`` to keep the explored machine
     around afterwards (it must wrap ``a``; its own budget then applies).
     Raises :class:`ValueError` when :func:`.automaton.validate` rejects
-    ``a``, :class:`EmptyLanguageError` when no complete path exists and
-    :class:`BudgetExceededError` past the subset budget; the last two
-    carry the search's :class:`Stats` as ``stats``.
+    ``a`` or ``cache`` wraps another automaton, :class:`EmptyLanguageError`
+    when no complete path exists and :class:`BudgetExceededError` past the
+    subset budget; the last two carry the search's :class:`Stats` as
+    ``stats``.
     """
     if cache is None:
         cache = DfaCache(a, state_budget)
+    elif cache.automaton is not a:
+        raise ValueError("the cache wraps another automaton")
     stats = Stats()
     with _Reported(stats, cache):
         bound = backward_distance(a, HEURISTIC_VIEW)
@@ -142,6 +145,8 @@ def shortest_string_via_full_determinization(
     as :func:`shortest_string` at strictly more determinization work."""
     if cache is None:
         cache = DfaCache(a, state_budget)
+    elif cache.automaton is not a:
+        raise ValueError("the cache wraps another automaton")
     stats = Stats()
     with _Reported(stats, cache):
         cache.full_expand()

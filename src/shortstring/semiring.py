@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isnan, log
+from math import isnan, log, nan
 from operator import neg
 from typing import Callable, Sequence
 
@@ -84,10 +84,13 @@ def _real_members(values) -> bool:
 
 
 def _neg_logs(values) -> list:
-    # log(0) raises, and min() may skip a NaN: such columns go one by one
+    # log(0) raises, and min() may skip a NaN: such columns go one by one.
+    # Zero is no path; a negative or NaN probability is no member, and
+    # its NaN is refused where weights enter
     if min(values, default=1.0) > 0.0 and not any(map(isnan, values)):
         return list(map(neg, map(log, values)))
-    return [-log(p) if p > 0.0 else INF for p in values]
+    return [-log(p) if p > 0.0 else INF if p == 0.0 else nan
+            for p in values]
 
 
 def _identity(value):

@@ -1,4 +1,4 @@
-"""The acceptor text format: symbol tables, and parsing records.
+"""The acceptor text format: symbol tables, reading and writing.
 
 One record per line:
 
@@ -12,7 +12,7 @@ Labels are integers unless a symbol table maps tokens to integers. A
 symbol table file holds lines of ``token id``, each id a non-negative
 integer.
 
-:func:`read_records` accepts a text only when every state id is a
+:func:`read_text` accepts a text only when every state id is a
 non-negative integer, every label is positive (or a known token), every
 weight is a member of the encoding and no state has two final weights;
 the states are 0 up to the largest id. Otherwise it raises
@@ -21,7 +21,8 @@ number. Records are converted and checked a column at a time, a block of
 lines at a time. Each check is stated once, in the column readers: when
 a block fails, its lines are read again one at a time through the same
 readers, and the first that fails on its own is the bad record.
-:func:`.automaton.read_text` builds the automaton from the records.
+:func:`write_text` writes an :class:`.automaton.Automaton` back in the
+format.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Optional
 
+from .automaton import Automaton
 from .errors import ParseError
 from .semiring import ONE, Encoding
 
@@ -102,14 +104,13 @@ _ARC_SIZES = frozenset((3, 4))
 _FINAL_SIZES = frozenset((1, 2))
 
 
-def read_records(text: str, encoding: Encoding,
-                 symbols: Optional[SymbolTable] = None) -> tuple:
-    """The records of an acceptor text as ``(num_states, initial, arcs,
-    finals)``: ``arcs`` lists ``(source, label, weight, target)`` tuples
-    in file order and ``finals`` maps states to final weights, with
-    ``-ln`` weights. Raises :class:`ParseError` for the first bad
-    record in file order, with its line number, and without one for a
-    text that holds no record."""
+def read_text(text: str, encoding: Encoding,
+              symbols: Optional[SymbolTable] = None) -> Automaton:
+    """The automaton an acceptor text in ``encoding`` describes, its
+    labels looked up in ``symbols`` when given, with ``-ln`` weights.
+    Raises :class:`ParseError` for the first bad record in file order,
+    with its line number, and without one for a text that holds no
+    record."""
     lines = text.splitlines()
     has_comments = "#" in text
     first = next((fields for fields in map(str.split, lines)
@@ -136,7 +137,32 @@ def read_records(text: str, encoding: Encoding,
         arcs += block_arcs
         finals.update(block_finals)
         max_state = max(max_state, block_max)
-    return max_state + 1, int(first[0]), arcs, finals
+    return Automaton(encoding, max_state + 1, int(first[0]), arcs, finals)
+
+
+def write_text(a: Automaton, symbols: Optional[SymbolTable] = None) -> str:
+    """Serialize to the acceptor text format; inverse of :func:`read_text`.
+
+    The initial state's block comes first so it is re-read as initial.
+    Weights are written in the automaton's encoding with full round-trip
+    precision (``log`` weights are re-read bit for bit; ``real`` ones go
+    through ``exp`` and ``ln`` and may move by an ulp). States that carry
+    no arc, no final weight, and no incoming arc are not representable in
+    the format and are dropped on a round trip.
+    """
+    if not a.arcs(a.initial) and not a.is_final(a.initial):
+        raise ValueError("initial state has no arcs and no final weight; "
+                         "the text format cannot represent it")
+    from_log = a.encoding.from_log
+    lines = []
+    order = [a.initial] + [q for q in range(a.num_states) if q != a.initial]
+    for q in order:
+        for label, weight, target in a.arcs(q):
+            token = symbols.token(label) if symbols is not None else str(label)
+            lines.append(f"{q} {target} {token} {from_log(weight)!r}")
+        if a.is_final(q):
+            lines.append(f"{q} {from_log(a.final_weight(q))!r}")
+    return "\n".join(lines) + "\n"
 
 
 def _read_block(lines, has_comments, encoding, symbols, finals) -> tuple:

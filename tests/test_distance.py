@@ -77,6 +77,15 @@ class TestEdgeCases:
         with pytest.raises(CycleError):
             backward_distance(a)
 
+    def test_path_sums_beyond_limit_rejected(self):
+        # validate() refuses this automaton, so no table may hold its nan
+        a = Automaton(LOG, 4, 0, [(0, 1, -1e308, 1), (1, 1, -1e308, 2),
+                                  (0, 1, 5.0, 3)], {2: 0.0, 3: 0.0})
+        for table in (total_distance, forward_distance, backward_distance,
+                      lambda a: backward_distance(a, "string")):
+            with pytest.raises(ValueError, match="path weights sum to"):
+                table(a)
+
     def test_unknown_view(self, e1):
         with pytest.raises(ValueError):
             backward_distance(e1, "tropical")

@@ -427,6 +427,14 @@ class TestDifferential:
         assert full.labels == result.labels
         assert cache.num_states == 3
 
+    @pytest.mark.parametrize("search", [
+        shortest_string, shortest_string_via_full_determinization])
+    def test_cache_over_another_automaton_refused(self, search):
+        a = Automaton(LOG, 3, 0, [(0, 1, 0.0, 1), (1, 2, 0.0, 2)], {2: 0.0})
+        b = Automaton(LOG, 2, 0, [(0, 7, 0.0, 1)], {1: 0.0})
+        with pytest.raises(ValueError, match="another automaton"):
+            search(a, cache=DfaCache(b))
+
     @pytest.mark.parametrize("semiring", [LOG, REAL], ids=lambda s: s.name)
     def test_arbitrary_dags_match_oracle(self, semiring):
         decoded = 0

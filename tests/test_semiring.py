@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from shortstring import (LOG, REAL, ParseError, approx_eq, format_weight,
-                         get_semiring, log_sum, read_text, write_text)
+from shortstring import (LOG, REAL, Automaton, ParseError, approx_eq,
+                         format_weight, get_semiring, log_sum, read_text,
+                         write_text)
 
 from conftest import PLUS_ONE_ONE
 
@@ -103,6 +104,20 @@ class TestRealOps:
             with pytest.raises(ParseError) as info:
                 read_text(f"0 1 1 {bad}\n1\n", REAL)
             assert "not a member" in str(info.value)
+
+    def test_non_members_convert_to_non_members(self):
+        # zero is no path, but a negative or NaN probability is no member:
+        # it must not turn into a dropped arc
+        got = REAL.to_log_all([-0.5, math.nan, 0.0, 0.5])
+        assert math.isnan(got[0]) and math.isnan(got[1])
+        assert got[2:] == [INF, math.log(2)]
+        assert REAL.to_log(INF) == -INF
+        assert not LOG.is_member(REAL.to_log(-0.5))
+
+    def test_non_member_arc_refused_not_dropped(self):
+        with pytest.raises(ValueError, match="arc weight nan on 0->1 is not "
+                                             "a member of the log semiring"):
+            Automaton(REAL, 2, 0, [(0, 1, REAL.to_log(-0.5), 1)], {1: 0.0})
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, 0.25, 1.0, 2.5, 1e308, -1e-300, -0.5,
