@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import heapq
 import sys
-from collections import Counter
-from itertools import accumulate, repeat
+from bisect import bisect_left
+from itertools import repeat
+from math import isnan
 from operator import itemgetter, lt
 from types import MappingProxyType
 from typing import Iterable, Iterator
@@ -41,9 +42,9 @@ SUM_LIMIT = sys.float_info.max / 2
 
 # Arcs come as (source, label, weight, target) tuples. Sorting them as
 # (source, label, target, weight) rows groups them by source and orders
-# each state's arcs; the stored arc is the row's (label, weight, target).
+# each state's arcs; one transpose of the sorted rows gives the columns
+# that are checked, and the stored arcs are their (label, weight, target).
 _ROW = itemgetter(0, 1, 3, 2)
-_ARC = itemgetter(1, 3, 2)
 
 
 class Automaton:
@@ -59,11 +60,12 @@ class Automaton:
     dropped; the drop counts are kept in ``pruned_arcs`` /
     ``pruned_finals``.
 
-    Every arc and final entry, dropped ones included, must have its
-    states in ``0 .. num_states - 1``, a label of at least 1 and a weight
-    in the log semiring (neither NaN nor ``-inf``), or
-    :class:`ValueError` names the first offender in input order, arcs
-    first. Cycles and path sums are left to :func:`validate`.
+    Every arc must have those four fields, and every arc and final
+    entry, dropped ones included, must have its states in
+    ``0 .. num_states - 1``, a label of at least 1 and a weight in the
+    log semiring (neither NaN nor ``-inf``), or :class:`ValueError` names
+    the first offender in input order, arcs first. Cycles and path sums
+    are left to :func:`validate`.
     """
 
     def __init__(self, encoding: Encoding, num_states: int, initial: int,
@@ -73,40 +75,48 @@ class Automaton:
         if not 0 <= initial < num_states:
             raise ValueError(f"initial state {initial} out of range")
         arcs = list(arcs)
-        sources, labels, weights, targets = tuple(zip(*arcs)) or ((),) * 4
-        # the columns are checked whole; _first_offence only words a failure
-        if not (0 <= min(sources, default=0) and min(targets, default=0) >= 0
-                and max(sources, default=0) < num_states
+        # an arc of another width would be cut short, or fail, in _ROW
+        if not set(map(len, arcs)) <= {4}:
+            raise ValueError(_first_offence(num_states, arcs, finals))
+        rows = sorted(map(_ROW, arcs))
+        sources, labels, targets, weights = tuple(zip(*rows)) or ((),) * 4
+        # low serves the log semiring's member check (LOG.all_members,
+        # written out) and _magnitude; high is +inf when an arc weighs zero
+        low = min(weights, default=0.0)
+        high = max(weights, default=0.0)
+        # the columns are checked whole; _first_offence only words a
+        # failure. Sorted by source, the first and last sources are the
+        # extremes.
+        if not ((not rows or 0 <= sources[0] and sources[-1] < num_states)
+                and min(targets, default=0) >= 0
                 and max(targets, default=0) < num_states
-                and min(labels, default=1) > 0 and LOG.all_members(weights)
+                and min(labels, default=1) > 0
+                and low > -INF and not any(map(isnan, weights))
                 and min(finals, default=0) >= 0
                 and max(finals, default=0) < num_states
                 and LOG.all_members(finals.values())):
             raise ValueError(_first_offence(num_states, arcs, finals))
-        count = len(arcs)
-        if ZERO in weights:
-            arcs = [arc for arc in arcs if arc[2] != ZERO]
-            sources, _, weights, targets = tuple(zip(*arcs)) or ((),) * 4
-        flat = tuple(map(_ARC, sorted(map(_ROW, arcs))))
-        # the arcs are grouped by source: state q's arcs start after the
-        # arcs of the states before it
-        counts = Counter(sources)
-        bounds = list(accumulate(map(counts.get, range(num_states), repeat(0)),
-                                 initial=0))
+        if high == ZERO:
+            rows = [row for row in rows if row[3] != ZERO]
+            sources, labels, targets, weights = tuple(zip(*rows)) or ((),) * 4
+            high = max(weights, default=0.0)
+        flat = tuple(zip(labels, weights, targets))
+        # sorted by source, state q's arcs start at its first row
+        bounds = list(map(bisect_left, repeat(sources),
+                          range(num_states + 1)))
         kept = dict(sorted(finals.items()))
         if ZERO in kept.values():
             kept = {q: w for q, w in kept.items() if w != ZERO}
         self.encoding = encoding
         self.num_states = num_states
         self.initial = initial
-        self.pruned_arcs = count - len(arcs)
+        self.pruned_arcs = len(arcs) - len(rows)
         self.pruned_finals = len(finals) - len(kept)
         self._arcs = tuple(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
         self._finals = kept
         self.finals = MappingProxyType(kept)
         # the largest weight magnitude, which bounds validate()'s path sums
-        self._magnitude = max(max(weights, default=0.0), -min(weights, default=0.0),
-                              *map(abs, kept.values()))
+        self._magnitude = max(high, -low, *map(abs, kept.values()))
         # memo of topological_order once it succeeded; an automaton whose
         # arcs all go from a smaller to a larger state id is ordered by id
         self._order = range(num_states) if all(map(lt, sources, targets)) else None
@@ -135,7 +145,11 @@ class Automaton:
 
 def _first_offence(num_states: int, arcs: list, finals: dict) -> str:
     # words the first arc, or else final entry, that Automaton refuses
-    for source, label, weight, target in arcs:
+    for arc in arcs:
+        if len(arc) != 4:
+            return (f"arc {arc!r} is not a (source, label, weight, target) "
+                    f"tuple")
+        source, label, weight, target = arc
         if not 0 <= source < num_states:
             return f"arc source {source} out of range"
         if label == 0:

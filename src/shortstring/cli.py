@@ -2,7 +2,10 @@
 
 Exit codes for ``decode``: 0 success, 1 oracle mismatch, 2 empty
 language, 3 invalid input, 4 budget exceeded. A usage error, such as an
-unknown option, exits 3 for every command; ``-h`` exits 0.
+unknown option, exits 3 for every command; ``-h`` exits 0. So does a
+reader that closes standard output before every line is written: any
+command then exits 3, without a traceback, and the rest of its output is
+discarded.
 
 ``--semiring`` names the encoding of the lattice's weights (``log``:
 ``-ln p``; ``real``: probabilities). Decoding always runs in ``-ln``
@@ -18,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .automaton import validate
@@ -232,6 +236,21 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        # output still buffered fails here, if the reader has gone
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull, so that the
+        # interpreter's last flush of what is left is silent too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INVALID
+    return code
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:   # argparse's exit: 0 after -h, else usage

@@ -58,7 +58,7 @@ only :attr:`SearchResult.weight` is converted back to it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import lt
 from typing import Callable, Optional
@@ -93,7 +93,8 @@ class Stats:
     dominated: int = 0       # popped subsets skipped by dominance
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # the fields are ints, in declaration order: a shallow copy will do
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

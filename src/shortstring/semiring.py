@@ -84,13 +84,14 @@ def _real_members(values) -> bool:
 
 
 def _neg_logs(values) -> list:
-    # log(0) raises, and min() may skip a NaN: such columns go one by one.
-    # Zero is no path; a negative or NaN probability is no member, and
-    # its NaN is refused where weights enter
-    if min(values, default=1.0) > 0.0 and not any(map(isnan, values)):
+    # log raises at zero and below, and then the column goes one by one
+    # (log(nan) is NaN either way). Zero is no path; a negative or NaN
+    # probability is no member, and its NaN is refused where weights enter
+    try:
         return list(map(neg, map(log, values)))
-    return [-log(p) if p > 0.0 else INF if p == 0.0 else nan
-            for p in values]
+    except ValueError:
+        return [-log(p) if p > 0.0 else INF if p == 0.0 else nan
+                for p in values]
 
 
 def _identity(value):

@@ -184,9 +184,11 @@ def _read_block(lines, has_comments, encoding, symbols, finals) -> tuple:
     sources = _int_column(arc_records, 0, "source state")
     targets = _int_column(arc_records, 1, "target state")
     arcs = list(zip(sources, _label_column(arc_records, symbols),
-                    _weight_column(arc_records, 4, encoding), targets))
+                    _weight_column(arc_records, 4, sizes.count(3), encoding),
+                    targets))
     states = _int_column(final_records, 0, "state")
-    fresh = dict(zip(states, _weight_column(final_records, 2, encoding)))
+    fresh = dict(zip(states, _weight_column(final_records, 2, sizes.count(1),
+                                            encoding)))
     if len(fresh) < len(states) or not finals.keys().isdisjoint(fresh):
         raise ParseError(f"duplicate final weight for state {states[0]}")
     max_state = max(max(sources, default=0), max(targets, default=0),
@@ -195,14 +197,16 @@ def _read_block(lines, has_comments, encoding, symbols, finals) -> tuple:
 
 
 def _int_column(rows, field: int, what: str) -> list:
-    # non-negative integers
+    # non-negative integers; ids repeat, so each distinct text is
+    # converted once
+    fields = list(map(itemgetter(field), rows))
     try:
-        values = list(map(int, map(itemgetter(field), rows)))
+        value_of = {text: int(text) for text in set(fields)}
     except ValueError:
         raise ParseError(f"bad {what} {rows[0][field]!r}") from None
-    if min(values, default=0) < 0:
+    if min(value_of.values(), default=0) < 0:
         raise ParseError(f"negative {what} {rows[0][field]!r}")
-    return values
+    return list(map(value_of.__getitem__, fields))
 
 
 def _label_column(rows, symbols: Optional[SymbolTable]) -> list:
@@ -218,10 +222,14 @@ def _label_column(rows, symbols: Optional[SymbolTable]) -> list:
     return labels
 
 
-def _weight_column(rows, width: int, encoding: Encoding) -> list:
-    # rows of `width` fields end in a weight; shorter ones weigh one
-    weighted = list(map(width.__eq__, map(len, rows)))
-    fields = list(map(itemgetter(width - 1), compress(rows, weighted)))
+def _weight_column(rows, width: int, unweighted: int,
+                   encoding: Encoding) -> list:
+    # rows of `width` fields end in a weight; the `unweighted` shorter
+    # ones weigh one
+    if unweighted:
+        weighted = list(map(width.__eq__, map(len, rows)))
+        rows = list(compress(rows, weighted))
+    fields = list(map(itemgetter(width - 1), rows))
     try:
         written = list(map(float, fields))
     except ValueError:
@@ -230,7 +238,7 @@ def _weight_column(rows, width: int, encoding: Encoding) -> list:
         raise ParseError(f"weight {fields[0]!r} is not a member of the "
                          f"{encoding.name} semiring")
     weights = encoding.to_log_all(written)
-    if len(weights) < len(rows):
+    if unweighted:
         given = iter(weights)
         weights = [next(given) if has else ONE for has in weighted]
     return weights

@@ -83,6 +83,20 @@ class TestConstruction:
         ([(1, 1, -INF, 2)], {2: NAN, 7: 0.0},
          "arc weight -inf on 1->2 is not a member of the log semiring"),
         ([(3, 0, 0.5, 1)], {}, "arc source 3 out of range"),
+        # an arc must have four fields: one more is not dropped, and one
+        # fewer is worded like any other offence, in input order
+        ([(0, 1, 0.5, 1, "junk"), (1, 2, 0.25, 2)], {2: 0.0},
+         "arc (0, 1, 0.5, 1, 'junk') is not a (source, label, weight, "
+         "target) tuple"),
+        ([(0, 1, 1)], {},
+         "arc (0, 1, 1) is not a (source, label, weight, target) tuple"),
+        ([(0, 1, 0.5, 1), ()], {},
+         "arc () is not a (source, label, weight, target) tuple"),
+        ([(0, 1, 0.5, 1), (1, 2, 0.25, 2, 9), (0, 1, 0.5)], {7: 0.0},
+         "arc (1, 2, 0.25, 2, 9) is not a (source, label, weight, target) "
+         "tuple"),
+        ([(0, 0, 0.5, 1), (0, 1, 0.5)], {},
+         "epsilon arc 0->1 (label 0 is reserved)"),
     ])
     def test_first_offender_named(self, arcs, finals, message):
         with pytest.raises(ValueError) as info:
@@ -469,6 +483,78 @@ class TestParseErrors:
             read_text("0 1 a 0.5\n1 2 zzz\n2\n", LOG, symbols)
         assert str(info.value) == "line 2: unknown token 'zzz'"
         assert info.value.line == 2
+
+
+def _shuffled_text(lattice, real, rng) -> tuple:
+    """A text of ``lattice``'s records in shuffled order, in the real
+    encoding when ``real`` and else the log one, and the arcs (in file
+    order) and finals it describes, in -ln weights. About one record in
+    five leaves out its weight field (weight one) and one in twenty
+    weighs zero; comment and blank lines are strewn among the records."""
+    records = [((s, t, label), w) for s, label, w, t in lattice.all_arcs()]
+    records += [((q,), w) for q, w in lattice.finals.items()]
+    rng.shuffle(records)
+    # the initial state is the source field of the first record
+    first = next(i for i, (fields, _) in enumerate(records)
+                 if fields[0] == lattice.initial)
+    records.insert(0, records.pop(first))
+    lines, arcs, finals = ["# a shuffled lattice"], [], {}
+    for fields, weight in records:
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["", "   ", "# note", "  #x 1 2 3 4 5"]))
+        draw = rng.random()
+        line = " ".join(map(str, fields))
+        if draw < 0.2:
+            weight = 0.0
+        else:
+            if draw < 0.25:
+                weight = INF
+            if real:
+                p = math.exp(-weight)
+                line += f" {p!r}"
+                weight = -math.log(p) if p > 0.0 else INF
+            else:
+                line += f" {weight!r}"
+        lines.append(line)
+        if len(fields) == 3:
+            arcs.append((fields[0], fields[2], weight, fields[1]))
+        else:
+            finals[fields[0]] = weight
+    return "\n".join(lines) + "\n", arcs, finals
+
+
+def _exact(a) -> tuple:
+    # what read_text builds, every weight compared bit for bit
+    return (a.num_states, a.initial, a.pruned_arcs, a.pruned_finals,
+            [[(label, weight.hex(), target) for label, weight, target
+              in a.arcs(q)] for q in range(a.num_states)],
+            [(q, weight.hex()) for q, weight in a.finals.items()])
+
+
+class TestReadDifferential:
+    def test_read_equals_direct_construction(self):
+        # shuffled latgen lattices in both encodings, records with and
+        # without a weight field mixed in one block, zero weights,
+        # comments, blank lines, and texts of more than one block
+        rng = random.Random(12)
+        specs = [LatticeSpec(depth=rng.randint(1, 8), width=rng.randint(1, 6),
+                             vocab=rng.randint(1, 4),
+                             merge_prob=rng.choice([0.0, 0.3]), seed=seed)
+                 for seed in range(30)]
+        specs.append(LatticeSpec(depth=50, width=10, vocab=4,
+                                 merge_prob=0.3, seed=30))
+        longest = 0
+        for spec in specs:
+            lattice = generate(spec)
+            for encoding in (LOG, REAL):
+                text, arcs, finals = _shuffled_text(lattice, encoding is REAL,
+                                                    rng)
+                longest = max(longest, text.count("\n"))
+                ids = [q for s, _, _, t in arcs for q in (s, t)] + [*finals]
+                direct = Automaton(encoding, max(ids) + 1, lattice.initial,
+                                   arcs, finals)
+                assert _exact(read_text(text, encoding)) == _exact(direct)
+        assert longest > 4096
 
 
 class TestWriteText:

@@ -39,6 +39,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _child_env() -> dict:
+    # the environment of a child interpreter that imports this checkout
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestDecode:
     def test_e1_with_symbols(self, capsys, e1_file, symbols_file):
         code, out, _ = run(capsys, "decode", e1_file, "--symbols", symbols_file)
@@ -230,14 +238,10 @@ class TestDecode:
         assert out.startswith("usage:")
 
     def test_usage_error_process_exit_status(self, e1_numeric_file):
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run(
             [sys.executable, "-m", "shortstring.cli", "decode",
              e1_numeric_file, "--delta-det", "1e-320"],
-            env=env, capture_output=True, text=True, timeout=60)
+            env=_child_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 3
         assert "unrecognized arguments: --delta-det" in done.stderr
         assert "Traceback" not in done.stderr
@@ -405,6 +409,29 @@ class TestGen:
                            "--vocab", "1")
         assert code == 3
         assert "depth" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("decode", "{lattice}", "--stats"),
+    ("gen", "--depth", "3", "--width", "2", "--vocab", "2")],
+    ids=["decode", "gen"])
+def test_closed_stdout_exits_3_without_traceback(tmp_path, argv):
+    # the pipe's read end is closed before the child starts, so the
+    # child's first write to stdout, or its flush, fails whenever it comes
+    lattice = tmp_path / "f.lat"
+    lattice.write_text("0 1 1 0.5\n1 0.0\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "shortstring.cli",
+             *(arg.format(lattice=lattice) for arg in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env(),
+            text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("command", [
