@@ -9,7 +9,7 @@ the source lattice (the ``"string"`` backward view of :mod:`.distance`).
 """
 
 from .automaton import Automaton, topological_order, validate
-from .determinize import DfaCache, dump_text, materialize
+from .determinize import DfaCache, materialize
 from .distance import backward_distance, forward_distance, total_distance
 from .errors import (BudgetExceededError, CycleError, EmptyLanguageError,
                      ParseError)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Automaton", "SymbolTable", "read_text", "topological_order",
     "validate", "write_text",
-    "DfaCache", "dump_text", "materialize",
+    "DfaCache", "materialize",
     "backward_distance", "forward_distance", "total_distance",
     "BudgetExceededError", "CycleError", "EmptyLanguageError", "ParseError",
     "BenchRow", "LatticeSpec", "bench_csv", "bench_run", "generate",

@@ -26,13 +26,12 @@ import heapq
 import sys
 from bisect import bisect_left
 from itertools import repeat
-from math import isnan
 from operator import itemgetter, lt
 from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from .errors import CycleError
-from .semiring import INF, LOG, ZERO, Encoding
+from .semiring import INF, ZERO, Encoding, members
 
 
 # validate() bounds path sums by half the largest float in magnitude, so
@@ -62,10 +61,10 @@ class Automaton:
 
     Every arc must have those four fields, and every arc and final
     entry, dropped ones included, must have its states in
-    ``0 .. num_states - 1``, a label of at least 1 and a weight in the
-    log semiring (neither NaN nor ``-inf``), or :class:`ValueError` names
-    the first offender in input order, arcs first. Cycles and path sums
-    are left to :func:`validate`.
+    ``0 .. num_states - 1``, a label of at least 1 and a ``-ln`` weight
+    (a real or ``+inf``, as :func:`.semiring.members` judges), or
+    :class:`ValueError` names the first offender in input order, arcs
+    first. Cycles and path sums are left to :func:`validate`.
     """
 
     def __init__(self, encoding: Encoding, num_states: int, initial: int,
@@ -80,8 +79,7 @@ class Automaton:
             raise ValueError(_first_offence(num_states, arcs, finals))
         rows = sorted(map(_ROW, arcs))
         sources, labels, targets, weights = tuple(zip(*rows)) or ((),) * 4
-        # low serves the log semiring's member check (LOG.all_members,
-        # written out) and _magnitude; high is +inf when an arc weighs zero
+        # low and high bound _magnitude; high is +inf when an arc weighs zero
         low = min(weights, default=0.0)
         high = max(weights, default=0.0)
         # the columns are checked whole; _first_offence only words a
@@ -91,10 +89,10 @@ class Automaton:
                 and min(targets, default=0) >= 0
                 and max(targets, default=0) < num_states
                 and min(labels, default=1) > 0
-                and low > -INF and not any(map(isnan, weights))
+                and members(weights)
                 and min(finals, default=0) >= 0
                 and max(finals, default=0) < num_states
-                and LOG.all_members(finals.values())):
+                and members(finals.values())):
             raise ValueError(_first_offence(num_states, arcs, finals))
         if high == ZERO:
             rows = [row for row in rows if row[3] != ZERO]
@@ -158,13 +156,13 @@ def _first_offence(num_states: int, arcs: list, finals: dict) -> str:
             return f"negative label {label} on arc {source}->{target}"
         if not 0 <= target < num_states:
             return f"arc target {target} out of range on arc from {source}"
-        if not LOG.is_member(weight):
+        if not members((weight,)):
             return (f"arc weight {weight!r} on {source}->{target} is not "
                     f"a member of the log semiring")
     for state, weight in finals.items():
         if not 0 <= state < num_states:
             return f"final state {state} out of range"
-        if not LOG.is_member(weight):
+        if not members((weight,)):
             return (f"final weight {weight!r} of state {state} is not "
                     f"a member of the log semiring")
     raise RuntimeError("a column check failed on arcs and finals that pass")

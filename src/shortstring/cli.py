@@ -2,10 +2,10 @@
 
 Exit codes for ``decode``: 0 success, 1 oracle mismatch, 2 empty
 language, 3 invalid input, 4 budget exceeded. A usage error, such as an
-unknown option, exits 3 for every command; ``-h`` exits 0. So does a
-reader that closes standard output before every line is written: any
-command then exits 3, without a traceback, and the rest of its output is
-discarded.
+unknown option, exits 3 for every command; ``-h`` exits 0. A reader
+that closes standard output before every line is written makes any
+command, ``-h`` included, exit 3, without a traceback; the rest of its
+output is discarded.
 
 ``--semiring`` names the encoding of the lattice's weights (``log``:
 ``-ln p``; ``real``: probabilities). Decoding always runs in ``-ln``
@@ -25,14 +25,14 @@ import os
 import sys
 
 from .automaton import validate
-from .determinize import DfaCache, dump_text
+from .determinize import DfaCache, materialize
 from .distance import backward_distance, forward_distance
 from .errors import BudgetExceededError, EmptyLanguageError, ParseError
 from .latgen import LatticeSpec, bench_csv, bench_run, generate
 from .oracle import oracle_shortest_string
 from .search import (HEURISTIC_VIEW, shortest_string,
                      shortest_string_via_full_determinization)
-from .semiring import format_weight, get_semiring
+from .semiring import LOG, SEMIRINGS, format_weight, get_semiring
 from .textformat import SymbolTable, read_text, write_text
 
 EXIT_OK = 0
@@ -47,12 +47,20 @@ ORACLE_TOLERANCE = 1e-6
 ORACLE_REL_TOLERANCE = 1e-12
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse drops an OSError from writing help or usage; let it reach
+    # main, so that -h into a closed stdout exits 3 like every command
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 # Built once per process, on first use. Reuse is safe while parse_args
 # returns a fresh Namespace and no action keeps state between calls: no
 # append or count actions, no mutable defaults.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shortstring",
         description="Shortest-string decoding of acyclic weighted lattices.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -60,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     decode = sub.add_parser("decode", help="decode a lattice file")
     decode.add_argument("input", help="lattice file in the text acceptor format")
     decode.add_argument("--symbols", help="symbol table file (token id lines)")
-    decode.add_argument("--semiring", choices=("log", "real"), default="log",
+    decode.add_argument("--semiring", choices=tuple(SEMIRINGS), default=LOG.name,
                         help="encoding of the weights: log (-ln p, the "
                              "default) or real (probabilities)")
     decode.add_argument("--oracle", action="store_true",
@@ -172,7 +180,7 @@ def _cmd_decode(args) -> int:
     if args.dump_dfa:
         try:
             with open(args.dump_dfa, "w", encoding="utf-8") as handle:
-                handle.write(dump_text(cache, symbols))
+                handle.write(write_text(materialize(cache), symbols))
         except OSError as exc:
             print(f"error: cannot write {args.dump_dfa}: {exc}", file=sys.stderr)
             return EXIT_INVALID

@@ -27,7 +27,6 @@ from math import exp, log1p
 from .automaton import Automaton, validate
 from .errors import BudgetExceededError
 from .semiring import ONE, ZERO, log_sum
-from .textformat import write_text
 
 
 class DfaCache:
@@ -171,9 +170,3 @@ def materialize(cache: DfaCache) -> Automaton:
             finals[handle] = weight
     return Automaton(cache.automaton.encoding, cache.num_states, cache.start(),
                      arcs, finals)
-
-
-def dump_text(cache: DfaCache, symbols=None) -> str:
-    """Text-format dump of the explored sub-automaton, for inspection and
-    differential testing."""
-    return write_text(materialize(cache), symbols)

@@ -14,7 +14,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .automaton import Automaton
 from .determinize import DfaCache
@@ -104,10 +104,6 @@ class BenchRow:
     status: str = "ok"
 
 
-CSV_HEADER = ("seed,depth,width,vocab,nfa_states,dfa_states,"
-              "visited_states,wall_time_us,status")
-
-
 def measure_instance(a, *, state_budget: int | None = None) -> tuple:
     """Measure one automaton: exhaustive determinized state count, subsets
     visited by the lazy decode (super-final pop included), and the wall
@@ -159,17 +155,12 @@ def loglog_slope(rows) -> float:
 
 
 def bench_csv(rows) -> str:
-    """Render bench rows as CSV with a trailing ``#slope=`` summary line."""
-    def cell(value):
-        return "" if value is None else str(value)
-
-    lines = [CSV_HEADER]
+    """Render bench rows as CSV, one column per :class:`BenchRow` field
+    in order and blank for ``None``, with a trailing ``#slope=`` summary
+    line."""
+    lines = [",".join(field.name for field in fields(BenchRow))]
     for row in rows:
-        lines.append(",".join([
-            str(row.seed), str(row.depth), str(row.width), str(row.vocab),
-            str(row.nfa_states), cell(row.dfa_states),
-            cell(row.visited_states), cell(row.wall_time_us), row.status,
-        ]))
-    slope = loglog_slope(rows)
-    lines.append(f"#slope={'nan' if math.isnan(slope) else format(slope, '.6f')}")
+        lines.append(",".join("" if value is None else str(value)
+                              for value in astuple(row)))
+    lines.append(f"#slope={loglog_slope(rows):.6f}")
     return "\n".join(lines) + "\n"

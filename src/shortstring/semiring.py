@@ -5,27 +5,28 @@ semiring: ``plus`` is the log-sum-exp ``-ln(e^-a + e^-b)``, ``times`` is
 ``+``, zero is ``+inf`` (no path), one is ``0.0`` (the empty path), and
 smaller is better. The companion (best-of) view of ``plus`` is ``min``.
 The algebra is monotonic and negative: summing alternatives never beats
-every alternative, and extending a path never improves it. Members are
-the reals and ``+inf``; NaN and ``-inf`` are rejected where weights enter
-(``read_text`` and ``Automaton``).
+every alternative, and extending a path never improves it. Its members
+are the reals and ``+inf``; :func:`members` is the one check of that,
+made where weights enter (``read_text`` and ``Automaton``).
 
 The plus-times semiring over probabilities is isomorphic to it under
 ``p -> -ln p``, minus the underflow, so it is not computed in: ``real``
 is only an :class:`Encoding`, the way weights are written in files and
-shown to users. ``read_text`` checks each written weight against its
-encoding and stores ``to_log`` of it; ``write_text``, search results,
-oracle results and the CLI's printed distances convert back with
-``from_log``, which gives ``inf`` for a probability beyond the float
-range.
+shown to users. An encoding only converts: ``read_text`` converts each
+weight column with ``to_log_all`` and then judges it with
+:func:`members`; ``write_text``, search results, oracle results and the
+CLI's printed distances convert back with ``from_log``, which gives
+``inf`` for a probability beyond the float range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isnan, log, nan
-from operator import neg
-from typing import Callable, Sequence
+from itertools import repeat
+from math import log, nan
+from operator import lt, neg
+from typing import Callable
 
 INF = math.inf
 ZERO = INF  # additive identity; absorbs under times; "no path"
@@ -43,25 +44,27 @@ def log_sum(weights) -> float:
     return best - math.log(sum([math.exp(best - w) for w in weights]))
 
 
+def members(weights) -> bool:
+    """Whether every value is a ``-ln`` weight: a real or ``+inf``, not
+    NaN and not ``-inf``."""
+    # the floats above -inf are exactly those: NaN compares false
+    return all(map(lt, repeat(-INF), weights))
+
+
 @dataclass(frozen=True, eq=False)
 class Encoding:
     """How weights are written outside the package.
 
-    ``all_members`` tells whether every value of a column is one a file
-    may hold, and ``to_log_all`` maps a column to the package's ``-ln``
-    weights (for an identity encoding it may return the column itself);
-    ``from_log`` maps one weight back. Columns are checked and converted
-    whole, and the one-value :meth:`is_member` and :meth:`to_log` go
-    through the same functions, so a value is judged and converted alike
-    either way."""
+    ``to_log_all`` maps a column of written values to the package's
+    ``-ln`` weights (for an identity encoding it may return the column
+    itself), and ``from_log`` maps one weight back; the one-value
+    :meth:`to_log` goes through ``to_log_all``. A value that is not one
+    the encoding may write converts to NaN or ``-inf``, so a column is
+    judged by :func:`members` after its conversion."""
 
     name: str
-    all_members: Callable[[Sequence[float]], bool]
     to_log_all: Callable[[list], list]
     from_log: Callable[[float], float]
-
-    def is_member(self, value: float) -> bool:
-        return self.all_members((value,))
 
     def to_log(self, value: float) -> float:
         return self.to_log_all([value])[0]
@@ -70,23 +73,10 @@ class Encoding:
         return f"<{self.name} encoding>"
 
 
-def _log_members(values) -> bool:
-    # the reals and +inf; NaN and -inf are rejected. min() may skip a
-    # NaN, so NaN is looked for on its own
-    return min(values, default=0.0) > -INF and not any(map(isnan, values))
-
-
-def _real_members(values) -> bool:
-    # finite and non-negative
-    return (min(values, default=0.0) >= 0.0
-            and max(values, default=0.0) < INF
-            and not any(map(isnan, values)))
-
-
 def _neg_logs(values) -> list:
     # log raises at zero and below, and then the column goes one by one
     # (log(nan) is NaN either way). Zero is no path; a negative or NaN
-    # probability is no member, and its NaN is refused where weights enter
+    # probability converts to NaN and inf to -inf, which members() refuses
     try:
         return list(map(neg, map(log, values)))
     except ValueError:
@@ -107,8 +97,8 @@ def _probability(weight: float) -> float:
         return INF
 
 
-LOG = Encoding("log", _log_members, _identity, _identity)
-REAL = Encoding("real", _real_members, _neg_logs, _probability)
+LOG = Encoding("log", _identity, _identity)
+REAL = Encoding("real", _neg_logs, _probability)
 
 SEMIRINGS = {LOG.name: LOG, REAL.name: REAL}
 

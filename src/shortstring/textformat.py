@@ -14,7 +14,8 @@ integer.
 
 :func:`read_text` accepts a text only when every state id is a
 non-negative integer, every label is positive (or a known token), every
-weight is a member of the encoding and no state has two final weights;
+weight is a member of the encoding (it converts to a ``-ln`` weight, see
+:func:`.semiring.members`) and no state has two final weights;
 the states are 0 up to the largest id. Otherwise it raises
 :class:`ParseError` for the first bad record in file order, with its line
 number. Records are converted and checked a column at a time, a block of
@@ -33,7 +34,7 @@ from typing import Optional
 
 from .automaton import Automaton
 from .errors import ParseError
-from .semiring import ONE, Encoding
+from .semiring import ONE, Encoding, members
 
 
 class SymbolTable:
@@ -42,12 +43,9 @@ class SymbolTable:
     Only the reserved epsilon token may map to 0; it never labels an arc.
     """
 
-    def __init__(self, mapping: Optional[dict] = None):
+    def __init__(self):
         self._label_of = {}
         self._token_of = {}
-        if mapping:
-            for token, label in mapping.items():
-                self.add(token, label)
 
     def add(self, token: str, label: int) -> None:
         if token in self._label_of or label in self._token_of:
@@ -67,12 +65,6 @@ class SymbolTable:
 
     def __contains__(self, token: str) -> bool:
         return token in self._label_of
-
-    def __len__(self):
-        return len(self._label_of)
-
-    def items(self):
-        return self._label_of.items()
 
     @classmethod
     def from_text(cls, text: str) -> "SymbolTable":
@@ -234,10 +226,11 @@ def _weight_column(rows, width: int, unweighted: int,
         written = list(map(float, fields))
     except ValueError:
         raise ParseError(f"bad weight {fields[0]!r}") from None
-    if not encoding.all_members(written):
+    # a value the encoding may not write converts to no -ln weight
+    weights = encoding.to_log_all(written)
+    if not members(weights):
         raise ParseError(f"weight {fields[0]!r} is not a member of the "
                          f"{encoding.name} semiring")
-    weights = encoding.to_log_all(written)
     if unweighted:
         given = iter(weights)
         weights = [next(given) if has else ONE for has in weighted]

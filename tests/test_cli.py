@@ -413,8 +413,9 @@ class TestGen:
 
 @pytest.mark.parametrize("argv", [
     ("decode", "{lattice}", "--stats"),
-    ("gen", "--depth", "3", "--width", "2", "--vocab", "2")],
-    ids=["decode", "gen"])
+    ("gen", "--depth", "3", "--width", "2", "--vocab", "2"),
+    ("-h",), ("decode", "-h")],
+    ids=["decode", "gen", "help", "decode-help"])
 def test_closed_stdout_exits_3_without_traceback(tmp_path, argv):
     # the pipe's read end is closed before the child starts, so the
     # child's first write to stdout, or its flush, fails whenever it comes

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from shortstring import (Automaton, BudgetExceededError, DfaCache, LOG,
-                         approx_eq, backward_distance, dump_text,
-                         enumerate_strings, log_sum, materialize, read_text)
+                         approx_eq, backward_distance, enumerate_strings,
+                         log_sum, materialize, read_text, write_text)
 
 from conftest import D_A, D_B, E1_TOTAL, LN2, small_instance, to_real
 
@@ -213,7 +213,7 @@ class TestMaterialize:
     def test_dump_text_parses_back(self, e1):
         cache = DfaCache(e1)
         cache.full_expand()
-        text = dump_text(cache)
+        text = write_text(materialize(cache))
         again = read_text(text, LOG)
         assert again.num_states == 3
         assert again.num_arcs() == 3

@@ -6,6 +6,7 @@ import pytest
 from shortstring import (LOG, REAL, Automaton, ParseError, approx_eq,
                          format_weight, get_semiring, log_sum, read_text,
                          write_text)
+from shortstring.semiring import members
 
 from conftest import PLUS_ONE_ONE
 
@@ -14,6 +15,12 @@ INF = math.inf
 
 def plus(a, b):
     return log_sum([a, b])
+
+
+def judged(encoding, value):
+    # whether `value`, written in `encoding`, is accepted: it converts to
+    # a -ln weight
+    return members(encoding.to_log_all([value]))
 
 
 class TestLogOps:
@@ -55,9 +62,9 @@ class TestLogOps:
         assert plus(0.3, INF) == min(0.3, INF)
 
     def test_membership(self):
-        assert LOG.is_member(INF) and LOG.is_member(-30.0)
-        assert not LOG.is_member(-INF)
-        assert not LOG.is_member(float("nan"))
+        assert judged(LOG, INF) and judged(LOG, -30.0)
+        assert not judged(LOG, -INF)
+        assert not judged(LOG, float("nan"))
         for bad in ("-inf", "nan"):
             with pytest.raises(ParseError) as info:
                 read_text(f"0 1 1 {bad}\n1\n", LOG)
@@ -96,10 +103,10 @@ class TestRealOps:
         assert not REAL.to_log(0.25) < REAL.to_log(0.5)
 
     def test_membership(self):
-        assert REAL.is_member(0.0) and REAL.is_member(2.5)
-        assert not REAL.is_member(-0.5)
-        assert not REAL.is_member(INF)
-        assert not REAL.is_member(float("nan"))
+        assert judged(REAL, 0.0) and judged(REAL, 2.5)
+        assert not judged(REAL, -0.5)
+        assert not judged(REAL, INF)
+        assert not judged(REAL, float("nan"))
         for bad in ("-0.5", "inf", "nan"):
             with pytest.raises(ParseError) as info:
                 read_text(f"0 1 1 {bad}\n1\n", REAL)
@@ -112,7 +119,7 @@ class TestRealOps:
         assert math.isnan(got[0]) and math.isnan(got[1])
         assert got[2:] == [INF, math.log(2)]
         assert REAL.to_log(INF) == -INF
-        assert not LOG.is_member(REAL.to_log(-0.5))
+        assert not members([REAL.to_log(-0.5)])
 
     def test_non_member_arc_refused_not_dropped(self):
         with pytest.raises(ValueError, match="arc weight nan on 0->1 is not "
@@ -127,18 +134,55 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, 0.25, 1.0, 2.5, 1e308, -1e-300, -0.5,
 @pytest.mark.parametrize("encoding", [LOG, REAL])
 def test_columns_judged_as_their_values(encoding):
     # a column is a member exactly when each of its values is, wherever a
-    # NaN sits in it (min() skips a NaN that is not first), and a column
+    # NaN sits in it (a check by min() would skip one not first), and a column
     # converts to the values' own conversions
     rng = random.Random(11)
     for _ in range(2000):
         column = [rng.choice(EDGE_VALUES) for _ in range(rng.randint(0, 5))]
-        members = [encoding.all_members([value]) for value in column]
-        assert encoding.all_members(column) == all(members)
-        kept = [value for value, ok in zip(column, members) if ok]
+        judgements = [judged(encoding, value) for value in column]
+        assert members(encoding.to_log_all(column)) == all(judgements)
+        kept = [value for value, ok in zip(column, judgements) if ok]
         got = encoding.to_log_all(list(kept))
         want = [encoding.to_log(value) for value in kept]
         assert [w.hex() for w in got] == [w.hex() for w in want]
     assert REAL.to_log_all([0.5, 0.0, 1.0]) == [math.log(2), INF, 0.0]
+
+
+# each written weight, whether a log file and a real file accept it
+MEMBERSHIP = [
+    ("0.0", True, True),
+    ("-0.0", True, True),
+    ("5e-324", True, True),
+    ("-5e-324", True, False),
+    ("1e-320", True, True),
+    ("-1e-300", True, False),
+    ("0.25", True, True),
+    ("1.0", True, True),
+    ("2.5", True, True),
+    ("-0.5", True, False),
+    ("-30", True, False),
+    ("745", True, True),
+    ("-745", True, False),
+    ("1e308", True, True),
+    ("inf", True, False),
+    ("-inf", False, False),
+    ("nan", False, False),
+]
+
+
+@pytest.mark.parametrize("text, in_log, in_real", MEMBERSHIP,
+                         ids=[text for text, _, _ in MEMBERSHIP])
+@pytest.mark.parametrize("record", ["0 1 1 {}\n1\n", "0 1 1\n1 {}\n"],
+                         ids=["arc", "final"])
+def test_membership_truth_table(record, text, in_log, in_real):
+    for encoding, accepted in ((LOG, in_log), (REAL, in_real)):
+        if accepted:
+            read_text(record.format(text), encoding)
+        else:
+            with pytest.raises(ParseError, match=(
+                    f"weight '{text}' is not a member of the "
+                    f"{encoding.name} semiring")):
+                read_text(record.format(text), encoding)
 
 
 def test_real_round_trip_property():
