@@ -57,7 +57,8 @@ class Automaton:
     or :func:`.textformat.read_text`. Arcs and final entries whose weight
     equals the semiring zero (``+inf``) denote absence and are silently
     dropped; the drop counts are kept in ``pruned_arcs`` /
-    ``pruned_finals``.
+    ``pruned_finals``, and ``min_arc_weight`` is the smallest weight of
+    a kept arc (``0.0`` when none is kept).
 
     Every arc must have those four fields, and every arc and final
     entry, dropped ones included, must have its states in
@@ -110,6 +111,7 @@ class Automaton:
         self.initial = initial
         self.pruned_arcs = len(arcs) - len(rows)
         self.pruned_finals = len(finals) - len(kept)
+        self.min_arc_weight = low if rows else 0.0
         self._arcs = tuple(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
         self._finals = kept
         self.finals = MappingProxyType(kept)

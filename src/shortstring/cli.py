@@ -12,13 +12,18 @@ output is discarded.
 weights; printed weights are converted back to the encoding.
 
 ``main(argv)`` may be called repeatedly in one process: it builds the
-argument parser on its first call and reuses it after.
+argument parser on its first call and reuses it after. ``decode`` runs
+with the cyclic garbage collector paused, as a decode creates no
+reference cycles and frees all it allocates by reference counting; the
+collector's state is restored on every exit. The library functions never
+touch the collector.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -264,7 +269,15 @@ def _run(argv) -> int:
     except SystemExit as exc:   # argparse's exit: 0 after -h, else usage
         return EXIT_OK if exc.code == 0 else EXIT_INVALID
     if args.command == "decode":
-        return _cmd_decode(args)
+        # collections would only rescan the decode's live objects (see
+        # the module docstring); the caller's setting comes back after
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return _cmd_decode(args)
+        finally:
+            if enabled:
+                gc.enable()
     if args.command == "gen":
         return _cmd_gen(args)
     return _cmd_bench(args)

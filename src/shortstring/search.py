@@ -31,12 +31,15 @@ The margin m covers the rounding of the masses the search computes.
 Each step of a prefix rounds the gscore sum and at most four results
 per member (residual plus arc weight, the merge of a target's masses,
 the divisor, the new residual), each to within 2^-53 of its magnitude.
-A prefix has fewer than N steps, N the automaton's state count, so when
-no mass or gscore on either prefix exceeds ``max(1, |α_q|)`` in
-magnitude, the two computed masses of q are off by less than
-``8·N·2^-53·max(1, |α_q|)`` together, and
+A prefix has fewer than N steps, N the automaton's state count. Only
+negative arc weights take a sum below zero or below an earlier sum, and
+by at most ``D = N·W``, W the magnitude of the most negative arc weight
+(zero when none is negative), so no mass or gscore on either prefix
+exceeds ``max(1, |α_q| + D)`` in magnitude, even where arcs of ±1e12
+cancel on the way to a small α_q. The two computed masses of q are then
+off by less than ``8·N·2^-53·max(1, |α_q| + D)`` together, and
 
-    m = max(ORDER_SLACK, 8·N·2^-53)·max(1, |α_q|)
+    m = max(ORDER_SLACK, 8·N·2^-53)·max(1, |α_q| + D)
 
 covers that (the pop-order slack is the larger term below 1.1e6 states).
 The expanded masses are kept per member-state set and never dropped:
@@ -62,6 +65,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import lt
 from typing import Callable, Optional
+from weakref import ref
 
 from .automaton import Automaton
 from .determinize import DfaCache, materialize
@@ -188,14 +192,17 @@ class _Path:
     outcome. Two paths that differ in a prefix compare as those prefixes
     do, so a walk back that meets a remembered pair stops there: paths
     that keep tying while they grow, which the heap compares again after
-    every step, cost one step per comparison instead of their length."""
+    every step, cost one step per comparison instead of their length.
+    The memo link is weak, so two compared paths never form a reference
+    cycle and a search frees its paths by reference counting alone; a
+    path that has died cannot be met again, so it is never a memo hit."""
 
-    __slots__ = ("label", "prefix", "other", "result")
+    __slots__ = ("label", "prefix", "other", "result", "__weakref__")
 
     def __init__(self, label, prefix):
         self.label = label
         self.prefix = prefix    # None for the empty path
-        self.other = None       # the path last compared with, if any
+        self.other = _DEAD      # weak link to the path last compared with
         self.result = 0         # and how this one compared with it
 
     def labels(self) -> tuple:
@@ -216,17 +223,17 @@ class _Path:
         a, b = self, other
         result = 0
         while a is not b:
-            if a.other is b:
+            if a.other() is b:
                 result = a.result or result
                 break
-            if b.other is a:
+            if b.other() is a:
                 result = -b.result or result
                 break
             if a.label != b.label:
                 result = -1 if a.label < b.label else 1
             a, b = a.prefix, b.prefix
-        self.other, self.result = other, result
-        other.other, other.result = self, -result
+        self.other, self.result = ref(other), result
+        other.other, other.result = ref(self), -result
         return result
 
     def __eq__(self, other):
@@ -236,6 +243,9 @@ class _Path:
         return self._compare(other) < 0
 
 
+# the memo link of a path not yet compared: its referent is already gone
+_DEAD = ref(_Path.__new__(_Path))
+
 # best_g value of a handle never to be pushed again: settled, or a dead
 # end (no completion exists from there); every gscore compares above it
 _CLOSED = -INF
@@ -244,8 +254,11 @@ _CLOSED = -INF
 def _astar(cache: DfaCache, heuristic: Callable[[int], float],
            on_pop: TraceFn | None, stats: Stats) -> SearchResult:
     subset = cache.subset
-    # relative dominance margin (see the module docstring)
-    slack = max(ORDER_SLACK, 8 * cache.automaton.num_states * 2.0 ** -53)
+    # relative dominance margin, and how far negative arc weights can
+    # take a prefix's sums below its last mass (see the module docstring)
+    a = cache.automaton
+    slack = max(ORDER_SLACK, 8 * a.num_states * 2.0 ** -53)
+    drop = a.num_states * max(0.0, -a.min_arc_weight)
     # member states -> (gscore, residuals) of the expanded subsets over
     # them; a member's forward mass is gscore + residual
     fronts = {}
@@ -285,7 +298,7 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
             if front is None:
                 fronts[states] = [(g, residuals)]
             else:
-                limits = [alpha - slack * max(1.0, abs(alpha))
+                limits = [alpha - slack * max(1.0, abs(alpha) + drop)
                           for alpha in map(g.__add__, residuals)]
                 if any(all(map(lt, map(g_old.__add__, old), limits))
                        for g_old, old in front):

@@ -40,6 +40,16 @@ class TestConstruction:
         assert a.pruned_arcs == 2
         assert a.pruned_finals == 1
         assert not a.is_final(2)
+        assert a.min_arc_weight == 0.5
+
+    def test_min_arc_weight(self):
+        finals = {1: -7.0}
+        assert Automaton(LOG, 2, 0, [(0, 1, -2.5, 1), (0, 2, 3.0, 1)],
+                         finals).min_arc_weight == -2.5
+        # no arc kept: no arc weighs anything below zero
+        assert Automaton(LOG, 2, 0, [], finals).min_arc_weight == 0.0
+        assert Automaton(LOG, 2, 0, [(0, 1, INF, 1)],
+                         finals).min_arc_weight == 0.0
 
     def test_finals_is_a_read_only_view_built_once(self, e1):
         assert e1.finals is e1.finals

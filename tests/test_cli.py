@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from shortstring import LatticeSpec, cli, generate, write_text
+from shortstring import (LOG, Automaton, LatticeSpec, cli, generate,
+                         shortest_string, write_text)
 
 from conftest import E1_SYMBOLS_TEXT, E1_TEXT, small_instance, to_real
 
@@ -551,12 +552,25 @@ class TestRepeatedCalls:
         assert forward[-3][1] == "1 2\t0.601861\n"
 
 
+def _tied_chains_text(n) -> str:
+    # two chains of n + 1 arcs, all of one weight, spelling (1, 2, 2, ...)
+    # and (2, 1, 1, ...): the heap compares their paths at every step
+    lines = []
+    for offset, first, rest in ((0, 1, 2), (n + 1, 2, 1)):
+        prev = 0
+        for i in range(n + 1):
+            lines.append(f"{prev} {offset + i + 1} "
+                         f"{first if i == 0 else rest} 0.25\n")
+            prev = offset + i + 1
+        lines.append(f"{prev} 0.5\n")
+    return "".join(lines)
+
+
 def test_decode_leaves_no_cyclic_garbage(capsys, tmp_path, e1_numeric_file):
     # a decode frees what it allocates by reference counting alone, so
-    # the cyclic collector finds nothing after it on any exit path. Not
-    # covered: usage errors and -h (argparse's own exit leaves cycles) and
-    # lattices with many tied strings (search._Path's comparison memo
-    # links the two paths it compared)
+    # the cyclic collector finds nothing after it on any exit path, also
+    # where many strings tie and the heap compares their paths. Not
+    # covered: usage errors and -h (argparse's own exit leaves cycles)
     def lattice_file(name, text):
         path = tmp_path / name
         path.write_text(text)
@@ -583,6 +597,16 @@ def test_decode_leaves_no_cyclic_garbage(capsys, tmp_path, e1_numeric_file):
                    "--semiring", "real", "--stats"),
                   ("decode", lattice_file(f"ambig{seed}.lat",
                                           write_text(ambig)), "--stats")]
+    # the deep workload's seed-0 shape with every weight 0.0 (one), so
+    # strings of one length tie
+    deep = generate(LatticeSpec(depth=300, width=4, vocab=4, skew=3.0,
+                                seed=0))
+    flat = Automaton(LOG, deep.num_states, deep.initial,
+                     [(source, label, 0.0, target)
+                      for source, label, _, target in deep.all_arcs()],
+                     dict.fromkeys(deep.finals, 0.0))
+    argvs += [("decode", lattice_file("flat.lat", write_text(flat))),
+              ("decode", lattice_file("chains.lat", _tied_chains_text(2000)))]
     run(capsys, *argvs[0])
     codes = []
     gc.disable()    # or a collection during a call would hide its cycles
@@ -594,7 +618,86 @@ def test_decode_leaves_no_cyclic_garbage(capsys, tmp_path, e1_numeric_file):
             capsys.readouterr()
     finally:
         gc.enable()
-    assert codes == [0] * 7 + [2, 3, 3, 4] + [0] * 4
+    assert codes == [0] * 7 + [2, 3, 3, 4] + [0] * 6
+
+
+class TestCollectorState:
+    # decode pauses the cyclic collector while it runs and hands it back
+    # as it found it, on every exit; the other commands leave it alone
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        # the collector switched to the parameter's state for the test,
+        # and back to the runner's after it
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.fixture
+    def watched(self, monkeypatch):
+        # cli.shortest_string, recording the collector's state on each call
+        seen = []
+
+        def search(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return shortest_string(*args, **kwargs)
+        monkeypatch.setattr(cli, "shortest_string", search)
+        return seen
+
+    @pytest.mark.parametrize("text, flags, expected", [
+        ("0 1 5 0.5\n1 0.0\n", (), 0),
+        ("0 1 5 0.5\n", (), 2),
+        ("0 1 5 0.5\nbogus line\n", (), 3),
+        ("0 1 5 0.5\n0 2 6 0.5\n1 0.0\n2 0.0\n", ("--budget", "1"), 4)],
+        ids=["exit0", "exit2", "exit3", "exit4"])
+    def test_restored_on_every_exit(self, capsys, tmp_path, gc_state, watched,
+                                    text, flags, expected):
+        path = tmp_path / "f.lat"
+        path.write_text(text)
+        assert run(capsys, "decode", str(path), *flags)[0] == expected
+        assert gc.isenabled() == gc_state
+        assert watched == ([] if expected == 3 else [False])
+
+    def test_restored_on_closed_stdout(self, tmp_path, monkeypatch, gc_state,
+                                      watched):
+        path = tmp_path / "f.lat"
+        path.write_text("0 1 5 0.5\n1 0.0\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert cli.main(["decode", str(path)]) == 3
+        assert gc.isenabled() == gc_state
+        assert watched == [False]
+
+    def test_restored_when_the_search_raises(self, tmp_path, monkeypatch,
+                                             gc_state):
+        def search(*args, **kwargs):
+            raise RuntimeError("search failed")
+        monkeypatch.setattr(cli, "shortest_string", search)
+        path = tmp_path / "f.lat"
+        path.write_text("0 1 5 0.5\n1 0.0\n")
+        with pytest.raises(RuntimeError, match="search failed"):
+            cli.main(["decode", str(path)])
+        assert gc.isenabled() == gc_state
+
+    @pytest.mark.parametrize("argv, patched", [
+        (("gen", "--depth", "3", "--width", "2", "--vocab", "2"), "generate"),
+        (("bench", "--depths", "3", "--width", "2", "--vocab", "2"),
+         "bench_run")], ids=["gen", "bench"])
+    def test_other_commands_leave_it_alone(self, capsys, monkeypatch, gc_state,
+                                           argv, patched):
+        seen = []
+        inner = getattr(cli, patched)
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(cli, patched, spy)
+        assert run(capsys, *argv)[0] == 0
+        assert seen == [gc_state]
+        assert gc.isenabled() == gc_state
 
 
 # field values the fuzz test writes in place of a valid one; state ids

@@ -333,6 +333,28 @@ class TestDominance:
         assert result.stats.dominated == dominated
         assert result.labels == (2, 3)
 
+    def test_cancelling_weights_widen_the_margin(self):
+        # label 1 and label 2 reach state 2 with one arc of weight v each,
+        # so (1, 4) and (2, 4) tie and (1, 4) is the answer. Their masses
+        # at state 2 are computed through residuals near 2^40, with
+        # gscores near -2^40 that cancel them, and so round differently:
+        # 2^-13 apart, in favour of the label-2 subset, which is 1,500
+        # lighter on state 1 and pops first. A margin relative to the
+        # masses (1e-9 on state 2) let it prune the label-1 subset and
+        # give (2, 4); the margin must cover the -2^40 arcs' reach
+        big = 2.0 ** 40
+        v = 400.3 / 4096
+        arcs = [(0, 2, -(big + 1000), 1), (0, 2, v, 2),
+                (0, 1, -(big - 500), 1), (0, 1, v, 2),
+                (1, 3, big + 1005, 3), (2, 4, 3 / 8192, 3)]
+        a = Automaton(LOG, 4, 0, arcs, {3: 0.0})
+        result = shortest_string(a)
+        labels, weight = oracle_shortest_string(a)
+        assert result.labels == labels == (1, 4)
+        # the search's sums round at 2^-12 near 2^40, the oracle's do not
+        assert abs(result.weight - weight) <= 2.0 ** -12
+        assert result.stats.dominated == 0
+
     def test_deep_shape_fits_a_small_budget(self):
         # the deep benchmark shape at depth 100: without dominance these
         # need up to 1,590 subsets, with it at most 530
