@@ -132,12 +132,6 @@ class Automaton:
     def num_arcs(self) -> int:
         return sum(map(len, self._arcs))
 
-    def final_weight(self, state: int) -> float:
-        return self._finals.get(state, ZERO)
-
-    def is_final(self, state: int) -> bool:
-        return state in self._finals
-
     def __repr__(self):
         return (f"Automaton({self.encoding.name}, states={self.num_states}, "
                 f"arcs={self.num_arcs()}, finals={len(self._finals)})")

@@ -31,7 +31,7 @@ def _complete_paths(a: Automaton, path_budget: int):
     stack = [(a.initial, (), ONE)]
     while stack:
         state, labels, weight = stack.pop()
-        final = a.final_weight(state)
+        final = a.finals.get(state, ZERO)
         if final != ZERO:
             count += 1
             if count > path_budget:

@@ -13,7 +13,11 @@ merges arcs that share a label and takes the best label, so it bounds
 the mass of any one string rather than all futures together. That
 heuristic never overestimates the best completion and never
 overestimates any single step, so the first goal popped is the best
-string and every subset is settled at most once.
+string and every subset is settled at most once. The exhaustive
+baseline runs the same search with the fully determinized machine's own
+backward table as its heuristic. Either search refuses, before its
+first pop, an automaton whose heuristic at the root is zero (``+inf``):
+it accepts no string.
 
 A popped subset is skipped, counted in :attr:`Stats.dominated`, when an
 already expanded subset over the same member states beats it on every
@@ -127,17 +131,10 @@ def shortest_string(a: Automaton, *, state_budget: int | None = None,
     subset budget; the last two carry the search's :class:`Stats` as
     ``stats``.
     """
-    if cache is None:
-        cache = DfaCache(a, state_budget)
-    elif cache.automaton is not a:
-        raise ValueError("the cache wraps another automaton")
-    stats = Stats()
-    with _Reported(stats, cache):
+    def heuristic_of(cache):
         bound = backward_distance(a, HEURISTIC_VIEW)
-        if bound[a.initial] == ZERO:
-            raise EmptyLanguageError("the automaton accepts no string")
-        return _astar(cache, lambda handle: cache.heuristic(handle, bound),
-                      on_pop, stats)
+        return lambda handle: cache.heuristic(handle, bound)
+    return _search(a, state_budget, cache, heuristic_of, on_pop)
 
 
 def shortest_string_via_full_determinization(
@@ -148,38 +145,34 @@ def shortest_string_via_full_determinization(
     determinized machine's own backward table, then run the same search
     with that table as the heuristic. Returns the same string and weight
     as :func:`shortest_string` at strictly more determinization work."""
+    return _search(a, state_budget, cache,
+                   lambda cache: _dfa_table(cache, "base").__getitem__, on_pop)
+
+
+def _search(a: Automaton, state_budget: int | None, cache: DfaCache | None,
+            heuristic_of: Callable[[DfaCache], Callable[[int], float]],
+            on_pop: TraceFn | None) -> SearchResult:
+    # heuristic_of runs inside the try: a budget passed while it builds
+    # the baseline's table must hand over the stats too
     if cache is None:
         cache = DfaCache(a, state_budget)
     elif cache.automaton is not a:
         raise ValueError("the cache wraps another automaton")
     stats = Stats()
-    with _Reported(stats, cache):
-        cache.full_expand()
-        dfa = materialize(cache)
-        beta_d = backward_distance(dfa, "base")
-        if beta_d[cache.start()] == ZERO:
-            raise EmptyLanguageError("the automaton accepts no string")
-        return _astar(cache, beta_d.__getitem__, on_pop, stats)
+    try:
+        return _astar(cache, heuristic_of(cache), on_pop, stats)
+    except (EmptyLanguageError, BudgetExceededError) as error:
+        error.stats = stats
+        raise
+    finally:
+        stats.subsets_built = cache.num_states
 
 
-class _Reported:
-    """Counts the built subsets on every exit from the block, and hands
-    ``stats`` to a search error passing through."""
-
-    __slots__ = ("stats", "cache")
-
-    def __init__(self, stats: Stats, cache: DfaCache):
-        self.stats = stats
-        self.cache = cache
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, error, traceback):
-        self.stats.subsets_built = self.cache.num_states
-        if isinstance(error, (EmptyLanguageError, BudgetExceededError)):
-            error.stats = self.stats
-        return False
+def _dfa_table(cache: DfaCache, view: str) -> tuple:
+    """Backward table, in ``view``, of the whole determinized machine,
+    indexed by handle; expands every subset of ``cache`` first."""
+    cache.full_expand()
+    return backward_distance(materialize(cache), view)
 
 
 class _Path:
@@ -268,8 +261,11 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
         h_new = heuristic(handle)
         h.append(h_new)
         best_g.append(_CLOSED if h_new == ZERO else ZERO)
-    counter = 0
     root = cache.start()
+    # the heuristic never overestimates, so zero at the root: no string
+    if h[root] == ZERO:
+        raise EmptyLanguageError("the automaton accepts no string")
+    counter = 0
     best_g[root] = ONE
     # entry: (fscore, string length, path, counter, handle | None, gscore);
     # the unique counter stops comparison before the handle field
@@ -376,9 +372,8 @@ def heuristic_audit(a: Automaton, *,
     """
     cache = DfaCache(a, state_budget)
     table = backward_distance(a, HEURISTIC_VIEW)
-    count = cache.full_expand()
-    dfa = materialize(cache)
-    beta_hat = backward_distance(dfa, "companion")
+    beta_hat = _dfa_table(cache, "companion")
+    count = cache.num_states
     h = [cache.heuristic(handle, table) for handle in range(count)]
     admissibility = []
     consistency = []

@@ -142,7 +142,7 @@ def write_text(a: Automaton, symbols: Optional[SymbolTable] = None) -> str:
     no arc, no final weight, and no incoming arc are not representable in
     the format and are dropped on a round trip.
     """
-    if not a.arcs(a.initial) and not a.is_final(a.initial):
+    if not a.arcs(a.initial) and a.initial not in a.finals:
         raise ValueError("initial state has no arcs and no final weight; "
                          "the text format cannot represent it")
     from_log = a.encoding.from_log
@@ -152,8 +152,8 @@ def write_text(a: Automaton, symbols: Optional[SymbolTable] = None) -> str:
         for label, weight, target in a.arcs(q):
             token = symbols.token(label) if symbols is not None else str(label)
             lines.append(f"{q} {target} {token} {from_log(weight)!r}")
-        if a.is_final(q):
-            lines.append(f"{q} {from_log(a.final_weight(q))!r}")
+        if q in a.finals:
+            lines.append(f"{q} {from_log(a.finals[q])!r}")
     return "\n".join(lines) + "\n"
 
 

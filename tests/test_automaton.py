@@ -22,9 +22,9 @@ class TestConstruction:
         assert e1.num_states == 4
         assert e1.initial == 0
         assert e1.num_arcs() == 5
-        assert e1.is_final(3) and not e1.is_final(0)
-        assert e1.final_weight(3) == 0.0
-        assert e1.final_weight(0) == INF
+        assert 3 in e1.finals and 0 not in e1.finals
+        assert e1.finals[3] == 0.0
+        assert dict(e1.finals) == {3: 0.0}
 
     def test_arcs_sorted_by_label_then_target(self, e1):
         labels = [label for label, _, _ in e1.arcs(0)]
@@ -39,7 +39,7 @@ class TestConstruction:
         assert a.num_arcs() == 1
         assert a.pruned_arcs == 2
         assert a.pruned_finals == 1
-        assert not a.is_final(2)
+        assert 2 not in a.finals
         assert a.min_arc_weight == 0.5
 
     def test_min_arc_weight(self):
@@ -360,20 +360,20 @@ class TestReadText:
         assert a.num_states == 2
         assert a.initial == 0
         assert a.arcs(0) == ((5, 0.5, 1),)
-        assert a.final_weight(1) == 0.0
+        assert a.finals[1] == 0.0
 
     def test_single_final_initial_state(self):
         a = read_text("0 0.0\n", LOG)
         assert a.num_states == 1
         assert a.initial == 0
-        assert a.is_final(0)
+        assert 0 in a.finals
 
     def test_missing_weights_default_to_one(self):
         for encoding in (LOG, REAL):
             a = read_text("0 1 5\n1\n", encoding)
             (_, weight, _), = a.arcs(0)
             assert weight == 0.0
-            assert a.final_weight(1) == 0.0
+            assert a.finals[1] == 0.0
 
     def test_comments_and_blank_lines(self):
         a = read_text("# header\n\n0 1 5 0.5\n# mid\n1 0.0\n", LOG)
@@ -590,7 +590,7 @@ class TestWriteText:
         again = read_text(write_text(a), LOG)
         (_, weight, _), = again.arcs(0)
         assert weight == weird
-        assert again.final_weight(1) == 1e-17
+        assert again.finals[1] == 1e-17
 
     def test_initial_block_first(self):
         a = Automaton(LOG, 2, 1, [(1, 1, 0.5, 0)], {0: 0.0})

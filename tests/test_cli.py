@@ -315,6 +315,24 @@ class TestDecode:
         assert sub.num_states == 3
         assert sub.num_arcs() == 3
 
+    def test_dump_dfa_unwritable(self, capsys, tmp_path, e1_numeric_file):
+        dump = tmp_path / "missing" / "sub.dfa"
+        code, out, err = run(capsys, "decode", e1_numeric_file, "--dump-dfa",
+                             str(dump))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: cannot write {dump}: ")
+
+    def test_oracle_budget_after_decode(self, capsys, tmp_path):
+        # three subsets fit a budget of 3; the oracle's four paths do not
+        path = tmp_path / "four_paths.lat"
+        path.write_text("0 1 1 0.5\n0 1 2 0.7\n1 2 1 0.5\n1 2 2 0.7\n2 0.0\n")
+        code, out, err = run(capsys, "decode", str(path), "--oracle",
+                             "--budget", "3")
+        assert code == 4
+        assert out == "1 1\t1.000000\n"
+        assert err == "error: path budget 3 exceeded\n"
+
     @pytest.mark.parametrize("mode", [
         (), ("--full",), ("--oracle",), ("--print-distances",), ("--trace",),
         ("--dump-dfa", "{dump}")],
@@ -515,6 +533,16 @@ class TestBench:
                            "--vocab", "2")
         assert code == 3
         assert "depth" in err
+
+    @pytest.mark.parametrize("sweep", [("--depths", "3", "--seeds", "0"),
+                                       ("--depths", ",")],
+                             ids=["no-seed", "no-depth"])
+    def test_empty_sweep(self, capsys, sweep):
+        code, out, err = run(capsys, "bench", *sweep, "--width", "2",
+                             "--vocab", "2")
+        assert code == 3
+        assert out == ""
+        assert err == "error: need at least one depth and one seed\n"
 
 
 class TestRepeatedCalls:

@@ -16,7 +16,7 @@ class TestGenerate:
         a = generate(LatticeSpec(depth=1, width=1, vocab=1))
         assert a.num_states == 2
         assert a.num_arcs() == 1
-        assert a.is_final(1)
+        assert 1 in a.finals
 
     def test_shape(self):
         spec = LatticeSpec(depth=5, width=3, vocab=4, seed=9)

@@ -1,11 +1,13 @@
-"""The package's public surface: its star import and the README's
-library example."""
+"""The package's public surface: its star import, the README's library
+example, and the names the benchmark's layer timers replace."""
 
 import ast
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from shortstring import cli, search
 
 from conftest import E1_SYMBOLS_TEXT, E1_TEXT
 
@@ -34,3 +36,27 @@ def test_readme_library_example(tmp_path, monkeypatch):
     assert {"subsets_built", "popped"} <= ast.literal_eval(stats).keys()
     assert "# ((3,), 0.9): best path, not string" in code
     assert best_path == "((3,), 0.9)"
+
+
+def test_names_the_layer_timers_patch(tmp_path, monkeypatch, capsys):
+    # perfbench/layers.py times each layer by replacing these names, and
+    # a decode must look each of them up at call time
+    for name in ("start", "expand", "heuristic", "final_weight",
+                 "is_expanded", "subset", "num_states"):
+        assert hasattr(cli.DfaCache, name), name
+    calls = {}
+    for module, name in ((cli, "read_text"), (cli, "validate"),
+                         (cli, "DfaCache"), (cli, "shortest_string"),
+                         (search, "backward_distance")):
+        def counted(*args, _real=getattr(module, name), _name=name,
+                    **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    (tmp_path / "e1.lat").write_text(E1_TEXT)
+    (tmp_path / "e1.syms").write_text(E1_SYMBOLS_TEXT)
+    assert cli.main(["decode", str(tmp_path / "e1.lat"), "--symbols",
+                     str(tmp_path / "e1.syms")]) == 0
+    assert capsys.readouterr().out == "a b\t0.601861\n"
+    assert calls == {"read_text": 1, "validate": 1, "DfaCache": 1,
+                     "shortest_string": 1, "backward_distance": 1}

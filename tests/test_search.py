@@ -11,6 +11,7 @@ from shortstring import (Automaton, BudgetExceededError, DfaCache,
                          generate, heuristic_audit, oracle_shortest_path,
                          oracle_shortest_string, shortest_string,
                          shortest_string_via_full_determinization, validate)
+from shortstring import search as search_module
 from shortstring.search import _Path
 
 from conftest import SIGMA_AB, random_dag, small_instance, to_real
@@ -93,15 +94,63 @@ class TestSmallCases:
 
     @pytest.mark.parametrize("search", [
         shortest_string, shortest_string_via_full_determinization])
-    def test_errors_carry_stats(self, e1, search):
-        with pytest.raises(BudgetExceededError) as info:
-            search(e1, state_budget=2)
-        assert info.value.stats.subsets_built == 2
-        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {})
-        with pytest.raises(EmptyLanguageError) as info:
-            search(a)
-        assert info.value.stats.subsets_built >= 1
-        assert info.value.stats.popped == 0
+    def test_errors_carry_stats(self, e1, search, monkeypatch):
+        # each error exit hands over the one Stats the search made, with
+        # the subsets of the cache it searched, whether it made that cache
+        # or was given one
+        made, caches = [], []
+
+        class RecordedStats(search_module.Stats):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        class RecordedCache(DfaCache):
+            def __init__(self, *args):
+                super().__init__(*args)
+                caches.append(self)
+
+        monkeypatch.setattr(search_module, "Stats", RecordedStats)
+        monkeypatch.setattr(search_module, "DfaCache", RecordedCache)
+
+        def refusal(a, budget, given):
+            made.clear()
+            caches.clear()
+            cache = DfaCache(a, budget) if given else None
+            with pytest.raises((BudgetExceededError,
+                                EmptyLanguageError)) as info:
+                search(a, state_budget=budget, cache=cache)
+            if given:
+                assert caches == []
+            else:
+                (cache,) = caches
+            assert len(made) == 1 and made[0] is info.value.stats
+            assert info.value.stats.subsets_built == cache.num_states
+            return info.value
+
+        empty = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {})
+        lazy = search is shortest_string
+        for given in (False, True):
+            # the budget passes mid-search for the lazy search, and
+            # inside full_expand, before the first push, for the baseline
+            error = refusal(e1, 2, given)
+            assert isinstance(error, BudgetExceededError)
+            assert error.stats.subsets_built == 2
+            assert error.stats.popped == (1 if lazy else 0)
+            assert (error.stats.pushed > 0) == lazy
+            # the empty language is refused at the root, before any push
+            error = refusal(empty, None, given)
+            assert isinstance(error, EmptyLanguageError)
+            assert error.stats.subsets_built >= 1
+            assert error.stats.popped == 0
+            assert error.stats.pushed == 0
+        # a cache over another automaton is refused before any Stats
+        made.clear()
+        with pytest.raises(ValueError) as info:
+            search(e1, cache=DfaCache(empty))
+        assert type(info.value) is ValueError
+        assert not hasattr(info.value, "stats")
+        assert made == []
 
     def test_real_semiring(self, e1):
         result = shortest_string(to_real(e1))

@@ -195,7 +195,7 @@ def test_real_round_trip_property():
         a = read_text(f"0 1 1 {p!r}\n1 {p!r}\n", REAL)
         (_, weight, _), = a.arcs(0)
         assert weight == -math.log(p)
-        assert a.final_weight(1) == -math.log(p)
+        assert a.finals[1] == -math.log(p)
         written = [float(line.split()[-1]) for line in write_text(a).splitlines()]
         for q in written:
             assert abs(q - p) <= 1e-13 * p
