@@ -35,7 +35,7 @@ from .distance import backward_distance, forward_distance
 from .errors import BudgetExceededError, EmptyLanguageError, ParseError
 from .latgen import LatticeSpec, bench_csv, bench_run, generate
 from .oracle import oracle_shortest_string
-from .search import (HEURISTIC_VIEW, shortest_string,
+from .search import (HEURISTIC_VIEW, rounding, shortest_string,
                      shortest_string_via_full_determinization)
 from .semiring import LOG, SEMIRINGS, format_weight, get_semiring
 from .textformat import SymbolTable, read_text, write_text
@@ -46,8 +46,8 @@ EXIT_EMPTY = 2
 EXIT_INVALID = 3
 EXIT_BUDGET = 4
 
-# --oracle's largest weight difference, in -ln units: this much, or a
-# relative ORACLE_REL_TOLERANCE of the weights when that is larger
+# --oracle's largest weight difference, in -ln units: this much, a relative
+# ORACLE_REL_TOLERANCE or search.rounding's slack·drop, whichever is largest
 ORACLE_TOLERANCE = 1e-6
 ORACLE_REL_TOLERANCE = 1e-12
 
@@ -136,7 +136,7 @@ def _trace_writer(symbols, from_log):
 
 def _cmd_decode(args) -> int:
     try:
-        with open(args.input, encoding="utf-8") as handle:
+        with open(args.input, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
@@ -144,7 +144,7 @@ def _cmd_decode(args) -> int:
     symbols = None
     if args.symbols:
         try:
-            with open(args.symbols, encoding="utf-8") as handle:
+            with open(args.symbols, encoding="utf-8-sig") as handle:
                 symbols = SymbolTable.from_text(handle.read())
         except (OSError, UnicodeDecodeError, ParseError) as exc:
             print(f"error: bad symbol table: {exc}", file=sys.stderr)
@@ -200,10 +200,11 @@ def _cmd_decode(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BUDGET
         print(f"oracle\t{_render(labels, symbols)}\t{weight:.6f}")
+        slack, drop = rounding(automaton)
         close = math.isclose(encoding.to_log(weight),
                              encoding.to_log(result.weight),
                              rel_tol=ORACLE_REL_TOLERANCE,
-                             abs_tol=ORACLE_TOLERANCE)
+                             abs_tol=max(ORACLE_TOLERANCE, slack * drop))
         if labels != result.labels or not close:
             print("error: search and oracle disagree", file=sys.stderr)
             return EXIT_MISMATCH

@@ -45,7 +45,9 @@ off by less than ``8·N·2^-53·max(1, |α_q| + D)`` together, and
 
     m = max(ORDER_SLACK, 8·N·2^-53)·max(1, |α_q| + D)
 
-covers that (the pop-order slack is the larger term below 1.1e6 states).
+covers that (ORDER_SLACK is the larger term below 1.1e6 states). The
+heuristic and backward sums are as long and round alike, so this one
+bound, :func:`rounding`, also judges the pop order and the audit.
 The expanded masses are kept per member-state set and never dropped:
 the lazy search's f = log_sum_q(α_q + u(q)) is monotone in the masses
 too, and pops come in nondecreasing f, so a later pop never beats an
@@ -81,12 +83,8 @@ from .semiring import INF, ONE, ZERO, format_weight
 # from (see :mod:`.distance` for why it is admissible and consistent).
 HEURISTIC_VIEW = "string"
 
-AUDIT_TOLERANCE = 1e-9    # heuristic_audit's allowed excess, in -ln units
-
-# A popped priority may fall below an earlier one by this fraction of the
-# earlier one's magnitude (at least 1) before it counts as a violation of
-# the monotonicity a consistent heuristic guarantees; float drift in the
-# g + h sums grows with the weights.
+# rounding()'s least slack: float drift in a sum grows with its terms, so
+# weights are told apart by more than this fraction of their magnitude
 ORDER_SLACK = 1e-9
 
 
@@ -97,7 +95,7 @@ class Stats:
     subsets_built: int = 0
     queue_peak: int = 0
     arcs_relaxed: int = 0
-    order_violations: int = 0  # pops whose priority fell beyond ORDER_SLACK
+    order_violations: int = 0  # pops whose priority fell beyond rounding()
     dominated: int = 0       # popped subsets skipped by dominance
 
     def as_dict(self) -> dict:
@@ -115,6 +113,12 @@ class SearchResult:
 # on_pop callbacks receive (handle, gscore, heuristic, fscore, labels),
 # scores as -ln weights; handle is None for the super-final pop.
 TraceFn = Callable[[Optional[int], float, float, float, tuple], None]
+
+
+def rounding(a: Automaton) -> tuple:
+    """``(slack, drop)``: at a weight x, m = ``slack·max(1, |x| + drop)``."""
+    n = a.num_states
+    return max(ORDER_SLACK, 8 * n * 2.0 ** -53), n * max(0.0, -a.min_arc_weight)
 
 
 def shortest_string(a: Automaton, *, state_budget: int | None = None,
@@ -247,11 +251,7 @@ _CLOSED = -INF
 def _astar(cache: DfaCache, heuristic: Callable[[int], float],
            on_pop: TraceFn | None, stats: Stats) -> SearchResult:
     subset = cache.subset
-    # relative dominance margin, and how far negative arc weights can
-    # take a prefix's sums below its last mass (see the module docstring)
-    a = cache.automaton
-    slack = max(ORDER_SLACK, 8 * a.num_states * 2.0 ** -53)
-    drop = a.num_states * max(0.0, -a.min_arc_weight)
+    slack, drop = rounding(cache.automaton)
     # member states -> (gscore, residuals) of the expanded subsets over
     # them; a member's forward mass is gscore + residual
     fronts = {}
@@ -265,12 +265,11 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
     # the heuristic never overestimates, so zero at the root: no string
     if h[root] == ZERO:
         raise EmptyLanguageError("the automaton accepts no string")
-    counter = 0
     best_g[root] = ONE
-    # entry: (fscore, string length, path, counter, handle | None, gscore);
-    # the unique counter stops comparison before the handle field
-    heap = [(ONE + h[root], 0, _Path(None, None), counter, root, ONE)]
+    # entry: (fscore, string length, path, push count, handle | None,
+    # gscore); the unique push count stops comparison before the handle
     stats.pushed = 1
+    heap = [(ONE + h[root], 0, _Path(None, None), 1, root, ONE)]
     stats.queue_peak = 1
     last_fkey = -INF
     while heap:
@@ -303,7 +302,7 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
                 front.append((g, residuals))
         stats.popped += 1
         # consistent heuristic: pop priorities never decrease
-        if fkey < last_fkey - ORDER_SLACK * max(1.0, abs(last_fkey)):
+        if fkey < last_fkey - slack * max(1.0, abs(last_fkey) + drop):
             stats.order_violations += 1
         elif fkey > last_fkey:
             last_fkey = fkey
@@ -312,9 +311,8 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
         final = cache.final_weight(handle)
         if final != ZERO:
             g_goal = g + final
-            counter += 1
-            heappush(heap, (g_goal, length, path, counter, None, g_goal))
             stats.pushed += 1
+            heappush(heap, (g_goal, length, path, stats.pushed, None, g_goal))
         arcs = cache.expand(handle)
         stats.arcs_relaxed += len(arcs)
         for fresh in range(len(h), cache.num_states):
@@ -329,10 +327,9 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
             # equal gscores go on: a later path may win the
             # shorter-then-lexicographic tie break
             best_g[target] = g_next
-            counter += 1
-            heappush(heap, (g_next + h[target], length, _Path(label, path),
-                            counter, target, g_next))
             stats.pushed += 1
+            heappush(heap, (g_next + h[target], length, _Path(label, path),
+                            stats.pushed, target, g_next))
         if len(heap) > stats.queue_peak:
             stats.queue_peak = len(heap)
     raise EmptyLanguageError("no accepting path was found")
@@ -366,11 +363,13 @@ def heuristic_audit(a: Automaton, *,
     never overestimates the best single completion (admissibility, against
     the companion backward table of the determinized machine) and never
     overestimates across any single arc or the final hop (consistency).
-    Violations beyond ``AUDIT_TOLERANCE`` (in ``-ln`` units) are
-    reported; small instances only. Raises :class:`ValueError` when
+    A heuristic over a bound x by more than the :func:`rounding` margin
+    that the search's dominance and pop-order checks use is reported;
+    small instances only. Raises :class:`ValueError` when
     :func:`.automaton.validate` rejects ``a``.
     """
     cache = DfaCache(a, state_budget)
+    slack, drop = rounding(a)
     table = backward_distance(a, HEURISTIC_VIEW)
     beta_hat = _dfa_table(cache, "companion")
     count = cache.num_states
@@ -378,15 +377,15 @@ def heuristic_audit(a: Automaton, *,
     admissibility = []
     consistency = []
     arcs_checked = 0
-    for handle, h_here in enumerate(h):
-        if h_here > beta_hat[handle] + AUDIT_TOLERANCE:
+    for handle, (h_here, best) in enumerate(zip(h, beta_hat)):
+        if h_here - best > slack * max(1.0, abs(best) + drop):
             admissibility.append(
                 f"state {handle}: heuristic {format_weight(h_here)} exceeds "
-                f"best completion {format_weight(beta_hat[handle])}")
+                f"best completion {format_weight(best)}")
         for label, weight, target in cache.expand(handle):
             arcs_checked += 1
             bound = weight + h[target]
-            if h_here > bound + AUDIT_TOLERANCE:
+            if h_here - bound > slack * max(1.0, abs(bound) + drop):
                 consistency.append(
                     f"arc {handle}-{label}->{target}: heuristic "
                     f"{format_weight(h_here)} exceeds step bound "
@@ -394,7 +393,7 @@ def heuristic_audit(a: Automaton, *,
         final = cache.final_weight(handle)
         if final != ZERO:
             arcs_checked += 1
-            if h_here > final + AUDIT_TOLERANCE:
+            if h_here - final > slack * max(1.0, abs(final) + drop):
                 consistency.append(
                     f"state {handle}: heuristic {format_weight(h_here)} "
                     f"exceeds final weight {format_weight(final)}")

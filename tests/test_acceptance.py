@@ -17,7 +17,7 @@ from shortstring import (DfaCache, LOG, REAL, LatticeSpec, approx_eq,
                          shortest_string_via_full_determinization,
                          total_distance)
 
-from shortstring.search import AUDIT_TOLERANCE
+from shortstring.search import ORDER_SLACK
 
 from conftest import E1_SYMBOLS_TEXT, E1_TEXT, make_e1, small_instance
 
@@ -73,7 +73,7 @@ def test_c2_oracle_equivalence_1000():
 
 
 def test_c3_heuristic_audit_500():
-    assert AUDIT_TOLERANCE == 1e-9
+    assert ORDER_SLACK == 1e-9
     started = time.perf_counter()
     dirty = 0
     for seed in range(500):

@@ -638,3 +638,10 @@ class TestSymbolTable:
     def test_bad_field_count(self):
         with pytest.raises(ParseError):
             SymbolTable.from_text("a\n")
+
+    def test_comments_and_blank_lines_skipped(self):
+        table = SymbolTable.from_text("# tokens\n\na 1\n   \n  # b 9\nb 2\n")
+        assert table.to_text() == "a 1\nb 2\n"
+        with pytest.raises(ParseError) as info:
+            SymbolTable.from_text("# tokens\n\na 1\nb\n")
+        assert info.value.line == 4

@@ -402,6 +402,35 @@ class TestDecode:
             code, _, _ = run(capsys, "decode", str(path), "--oracle")
             assert code == expected
 
+    def test_oracle_allows_the_rounding_of_cancelling_weights(
+            self, capsys, tmp_path):
+        # tests/test_search.py's cancelling lattice: arcs of -(2^40 + k)
+        # and 2^40 + k round the search's sums at 2^-12, the oracle's not
+        big = 2.0 ** 40
+        path = tmp_path / "cancel.lat"
+        path.write_text(f"0 1 2 {-(big + 1000)!r}\n0 2 2 {400.3 / 4096!r}\n"
+                        f"0 1 1 {-(big - 500)!r}\n0 2 1 {400.3 / 4096!r}\n"
+                        f"1 3 3 {big + 1005!r}\n2 3 4 {3 / 8192!r}\n3 0.0\n")
+        code, out, err = run(capsys, "decode", str(path), "--oracle")
+        assert code == 0, err
+        assert out == "1 4\t0.098145\noracle\t1 4\t0.098096\n"
+
+    def test_lattice_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "bom.lat"
+        path.write_bytes(b"\xef\xbb\xbf" + E1_TEXT.replace("a", "1").replace(
+            "b", "2").replace("c", "3").encode())
+        code, out, err = run(capsys, "decode", str(path))
+        assert code == 0, err
+        assert out == "1 2\t0.601861\n"
+
+    def test_symbols_with_byte_order_mark(self, capsys, tmp_path, e1_file):
+        # the mark would make the first token '\ufeffa', and 'a' unknown
+        path = tmp_path / "bom.syms"
+        path.write_bytes(b"\xef\xbb\xbfa 1\nb 2\nc 3\n")
+        code, out, err = run(capsys, "decode", e1_file, "--symbols", str(path))
+        assert code == 0, err
+        assert out == "a b\t0.601861\n"
+
 
 class TestGen:
     def test_deterministic(self, capsys):

@@ -38,6 +38,25 @@ def test_readme_library_example(tmp_path, monkeypatch):
     assert best_path == "((3,), 0.9)"
 
 
+def test_readme_cli_example(tmp_path, monkeypatch, capsys):
+    # the opening example: files shown with cat, then one decode
+    block = re.search(r"```\n(\$ cat demo\.lat\n.*?)```",
+                      README.read_text(encoding="utf-8"), re.S).group(1)
+    commands = re.split(r"^\$ ", block, flags=re.M)[1:]
+    *files, decode = [command.split("\n", 1) for command in commands]
+    assert [line for line, _ in files] == ["cat demo.lat", "cat demo.syms"]
+    assert files[0][1] == E1_TEXT
+    assert files[1][1] == E1_SYMBOLS_TEXT
+    monkeypatch.chdir(tmp_path)
+    for line, text in files:
+        (tmp_path / line.split()[1]).write_text(text)
+    line, expected = decode
+    program, *argv = line.split()
+    assert program == "shortstring"
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected == "a b\t0.601861\n"
+
+
 def test_names_the_layer_timers_patch(tmp_path, monkeypatch, capsys):
     # perfbench/layers.py times each layer by replacing these names, and
     # a decode must look each of them up at call time

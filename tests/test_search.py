@@ -554,3 +554,61 @@ class TestHeuristicAudit:
     def test_budget_propagates(self, e1):
         with pytest.raises(BudgetExceededError):
             heuristic_audit(e1, state_budget=1)
+
+    def test_wrong_view_reported(self, e1, monkeypatch):
+        # the best-path bound is 0.9 at the root, over the merged "a b"
+        monkeypatch.setattr(search_module, "HEURISTIC_VIEW", "companion")
+        report = heuristic_audit(e1)
+        assert not report.ok
+        assert report.admissibility_violations == (
+            "state 0: heuristic 0.9 exceeds best completion 0.601861131",)
+        assert report.consistency_violations == (
+            "arc 0-1->1: heuristic 0.9 exceeds step bound 0.601861131",)
+        assert str(report) == ("1 admissibility and 1 consistency "
+                               "violations")
+        assert shortest_string(e1).stats.order_violations == 2
+
+    def test_small_excess_reported(self, e1, monkeypatch):
+        # 1e-6 added to every entry of the "string" table only: the
+        # audit's own tables are exact, so the excess shows everywhere
+        real = search_module.backward_distance
+
+        def bumped(a, view):
+            table = real(a, view)
+            return tuple(x + 1e-6 for x in table) if view == "string" else table
+        monkeypatch.setattr(search_module, "backward_distance", bumped)
+        report = heuristic_audit(e1)
+        assert report.admissibility_violations == (
+            "state 0: heuristic 0.601862131 exceeds best completion "
+            "0.601861131",
+            "state 1: heuristic 0.795009311 exceeds best completion "
+            "0.795008311",
+            "state 2: heuristic 1e-06 exceeds best completion 0")
+        assert report.consistency_violations == (
+            "state 2: heuristic 1e-06 exceeds final weight 0",)
+
+    @pytest.mark.parametrize("shift", ["+1e8", "+1e10", "+1e14", "-1e8",
+                                       "cancelling"])
+    def test_shifted_weights_clean(self, shift):
+        # every arc weight shifted, or shifted by +2^40 out of even layers
+        # and -2^40 out of odd ones, so that a path's shifts cancel: float
+        # drift grows with the weights, and a fixed tolerance (1e-9 on the
+        # audit, 1e-9 of |f| on the pop order) reported violations on
+        # most of these correct heuristics
+        width = 4
+
+        def offset(q):
+            if shift != "cancelling":
+                return float(shift)
+            layer = 0 if q == 0 else (q - 1) // width + 1
+            return 2.0 ** 40 if layer % 2 == 0 else -(2.0 ** 40)
+        for seed in range(20):
+            base = generate(LatticeSpec(depth=6, width=width, vocab=2,
+                                        merge_prob=0.5, seed=seed))
+            arcs = [(q, label, weight + offset(q), target)
+                    for q in range(base.num_states)
+                    for label, weight, target in base.arcs(q)]
+            a = Automaton(LOG, base.num_states, 0, arcs, dict(base.finals))
+            validate(a)
+            assert heuristic_audit(a).ok, seed
+            assert shortest_string(a).stats.order_violations == 0, seed
