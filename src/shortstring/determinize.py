@@ -88,17 +88,20 @@ class DfaCache:
                         bucket[target] = other - log1p(exp(other - mass))
                 else:
                     bucket[target] = mass
+        index = self._index
         out = []
         for label in sorted(per_label):
             bucket = per_label[label]
             if len(bucket) == 1:
                 ((target, divisor),) = bucket.items()
-                successor = self._intern(((target, ONE),))
+                pairs = ((target, ONE),)
             else:
                 divisor = log_sum(bucket.values())
-                successor = self._intern(tuple(
-                    (target, bucket[target] - divisor)
-                    for target in sorted(bucket)))
+                pairs = tuple([(target, bucket[target] - divisor)
+                               for target in sorted(bucket)])
+            successor = index.get(pairs)
+            if successor is None:
+                successor = self._intern(pairs)
             out.append((label, divisor, successor))
         result = tuple(out)
         self._arcs[handle] = result
@@ -106,11 +109,22 @@ class DfaCache:
 
     def final_weight(self, handle: int) -> float:
         """Semiring sum of residual times member final weight; zero when no
-        member is final. Not memoized: the search asks once per subset."""
+        member is final. Not memoized: the search asks once per subset.
+
+        Few subsets have a final member, so the common cases are cheap: a
+        lone member costs one lookup, and a subset with no final member
+        returns zero without forming a sum."""
         finals = self.automaton.finals
-        return log_sum([residual + finals[state]
-                        for state, residual in self._subsets[handle]
-                        if state in finals])
+        subset = self._subsets[handle]
+        if len(subset) == 1:
+            state, residual = subset[0]
+            return residual + finals.get(state, ZERO)
+        for state, _ in subset:
+            if state in finals:
+                return log_sum([residual + finals[state]
+                                for state, residual in subset
+                                if state in finals])
+        return ZERO
 
     def heuristic(self, handle: int, backward: tuple) -> float:
         """Remaining-mass estimate of a subset: the semiring sum of residual
@@ -141,9 +155,7 @@ class DfaCache:
         return len(self._subsets)
 
     def _intern(self, pairs: tuple) -> int:
-        handle = self._index.get(pairs)
-        if handle is not None:
-            return handle
+        # a new subset: its pairs are not in _index yet
         if self.state_budget is not None and len(self._subsets) >= self.state_budget:
             raise BudgetExceededError(
                 f"determinized state budget {self.state_budget} exceeded")

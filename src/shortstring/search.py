@@ -180,10 +180,12 @@ def _dfa_table(cache: DfaCache, view: str) -> tuple:
 
 
 class _Path:
-    """A label sequence as its last label and a link to its prefix, so a
-    push costs one node instead of a copy of the whole sequence. The heap
-    compares two paths only when their priorities and lengths tie, and
-    then as their label sequences.
+    """A label sequence as its last label and a link to its prefix, so an
+    expanded pop costs one node instead of a copy of the whole sequence;
+    a heap entry holds its prefix node and last label, and stale or
+    dominated entries never make one. The heap compares two prefixes
+    only when their priorities and lengths tie, and then as their label
+    sequences.
 
     Each node remembers the last path it was compared with and the
     outcome. Two paths that differ in a prefix compare as those prefixes
@@ -251,6 +253,8 @@ _CLOSED = -INF
 def _astar(cache: DfaCache, heuristic: Callable[[int], float],
            on_pop: TraceFn | None, stats: Stats) -> SearchResult:
     subset = cache.subset
+    expand = cache.expand
+    final_weight = cache.final_weight
     slack, drop = rounding(cache.automaton)
     # member states -> (gscore, residuals) of the expanded subsets over
     # them; a member's forward mass is gscore + residual
@@ -266,73 +270,90 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
     if h[root] == ZERO:
         raise EmptyLanguageError("the automaton accepts no string")
     best_g[root] = ONE
-    # entry: (fscore, string length, path, push count, handle | None,
-    # gscore); the unique push count stops comparison before the handle
-    stats.pushed = 1
-    heap = [(ONE + h[root], 0, _Path(None, None), 1, root, ONE)]
-    stats.queue_peak = 1
-    last_fkey = -INF
-    while heap:
-        fkey, length, path, _, handle, g = heappop(heap)
-        if handle is None:
-            stats.popped += 1
-            labels = path.labels()
+    # entry: (fscore, string length, prefix path, last label, push count,
+    # handle | None, gscore). The path node is made only when an entry is
+    # expanded or is the goal, and the root's (None, None) makes the
+    # empty path. Equal lengths compare as (prefix, label), the order of
+    # the whole label sequences; the unique push count stops comparison
+    # before the handle
+    heap = [(ONE + h[root], 0, None, None, 1, root, ONE)]
+    # a pop priority below floor, the rounding() margin under the
+    # highest one so far, breaks the order
+    last_fkey = floor = -INF
+    # the counters stay in locals and reach stats on every exit
+    popped = arcs_relaxed = dominated = 0
+    pushed = queue_peak = 1
+    try:
+        while heap:
+            fkey, length, prefix, label, _, handle, g = heappop(heap)
+            if handle is None:
+                popped += 1
+                labels = _Path(label, prefix).labels()
+                if on_pop is not None:
+                    on_pop(None, g, ONE, g, labels)
+                return SearchResult(
+                    labels, cache.automaton.encoding.from_log(g), stats)
+            if best_g[handle] == _CLOSED:
+                continue
+            best_g[handle] = _CLOSED
+            members = subset(handle)
+            if len(members) > 1:
+                # a lone member's subset has one handle, so only larger
+                # ones can meet another subset over the same states
+                states, residuals = zip(*members)
+                front = fronts.get(states)
+                if front is None:
+                    fronts[states] = [(g, residuals)]
+                else:
+                    limits = [alpha - slack * max(1.0, abs(alpha) + drop)
+                              for alpha in map(g.__add__, residuals)]
+                    if any(all(map(lt, map(g_old.__add__, old), limits))
+                           for g_old, old in front):
+                        dominated += 1
+                        continue
+                    front.append((g, residuals))
+            popped += 1
+            # consistent heuristic: pop priorities never decrease
+            if fkey < floor:
+                stats.order_violations += 1
+            elif fkey > last_fkey:
+                last_fkey = fkey
+                floor = fkey - slack * max(1.0, abs(fkey) + drop)
+            path = _Path(label, prefix)
             if on_pop is not None:
-                on_pop(None, g, ONE, g, labels)
-            return SearchResult(labels, cache.automaton.encoding.from_log(g),
-                                stats)
-        if best_g[handle] == _CLOSED:
-            continue
-        best_g[handle] = _CLOSED
-        members = subset(handle)
-        if len(members) > 1:
-            # a lone member's subset has one handle, so only larger ones
-            # can meet another subset over the same states
-            states, residuals = zip(*members)
-            front = fronts.get(states)
-            if front is None:
-                fronts[states] = [(g, residuals)]
-            else:
-                limits = [alpha - slack * max(1.0, abs(alpha) + drop)
-                          for alpha in map(g.__add__, residuals)]
-                if any(all(map(lt, map(g_old.__add__, old), limits))
-                       for g_old, old in front):
-                    stats.dominated += 1
-                    continue
-                front.append((g, residuals))
-        stats.popped += 1
-        # consistent heuristic: pop priorities never decrease
-        if fkey < last_fkey - slack * max(1.0, abs(last_fkey) + drop):
-            stats.order_violations += 1
-        elif fkey > last_fkey:
-            last_fkey = fkey
-        if on_pop is not None:
-            on_pop(handle, g, h[handle], g + h[handle], path.labels())
-        final = cache.final_weight(handle)
-        if final != ZERO:
-            g_goal = g + final
-            stats.pushed += 1
-            heappush(heap, (g_goal, length, path, stats.pushed, None, g_goal))
-        arcs = cache.expand(handle)
-        stats.arcs_relaxed += len(arcs)
-        for fresh in range(len(h), cache.num_states):
-            h_new = heuristic(fresh)
-            h.append(h_new)
-            best_g.append(_CLOSED if h_new == ZERO else ZERO)
-        length += 1
-        for label, weight, target in arcs:
-            g_next = g + weight
-            if g_next > best_g[target]:
-                continue  # strictly worse than the known path, or closed
-            # equal gscores go on: a later path may win the
-            # shorter-then-lexicographic tie break
-            best_g[target] = g_next
-            stats.pushed += 1
-            heappush(heap, (g_next + h[target], length, _Path(label, path),
-                            stats.pushed, target, g_next))
-        if len(heap) > stats.queue_peak:
-            stats.queue_peak = len(heap)
-    raise EmptyLanguageError("no accepting path was found")
+                on_pop(handle, g, h[handle], g + h[handle], path.labels())
+            final = final_weight(handle)
+            if final != ZERO:
+                g_goal = g + final
+                pushed += 1
+                heappush(heap, (g_goal, length, prefix, label, pushed, None,
+                                g_goal))
+            arcs = expand(handle)
+            arcs_relaxed += len(arcs)
+            for fresh in range(len(h), cache.num_states):
+                h_new = heuristic(fresh)
+                h.append(h_new)
+                best_g.append(_CLOSED if h_new == ZERO else ZERO)
+            length += 1
+            for label, weight, target in arcs:
+                g_next = g + weight
+                if g_next > best_g[target]:
+                    continue  # strictly worse than the known path, or closed
+                # equal gscores go on: a later path may win the
+                # shorter-then-lexicographic tie break
+                best_g[target] = g_next
+                pushed += 1
+                heappush(heap, (g_next + h[target], length, path, label,
+                                pushed, target, g_next))
+            if len(heap) > queue_peak:
+                queue_peak = len(heap)
+        raise EmptyLanguageError("no accepting path was found")
+    finally:
+        stats.popped = popped
+        stats.pushed = pushed
+        stats.arcs_relaxed = arcs_relaxed
+        stats.queue_peak = queue_peak
+        stats.dominated = dominated
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from math import log, nan
+from math import exp, log, nan
 from operator import lt, neg
 from typing import Callable
 
@@ -37,11 +37,23 @@ def log_sum(weights) -> float:
     """The log semiring sum of a sequence of weights: ``-ln sum e^-w``;
     zero (``+inf``) for an empty sequence. Shifting by the best weight
     keeps every exponent in ``[-inf, 0]``, so nothing underflows to a
-    false zero however large the weights are."""
+    false zero however large the weights are.
+
+    Two terms ``a <= b`` skip the general sum: the best term adds
+    exactly ``e^0 = 1.0``, and Python's float ``sum`` of two terms,
+    compensated (3.12 on) or not, rounds to ``fl(1.0 + e^(a-b))``, so
+    ``a - log(1.0 + exp(a - b))`` is the same float."""
+    if len(weights) == 2:
+        a, b = weights
+        if b < a:   # min() keeps the first of equal terms: so does this
+            a, b = b, a
+        if a == INF:
+            return INF
+        return a - log(1.0 + exp(a - b))
     best = min(weights, default=INF)
     if best == INF:
         return INF
-    return best - math.log(sum([math.exp(best - w) for w in weights]))
+    return best - log(sum([exp(best - w) for w in weights]))
 
 
 def members(weights) -> bool:

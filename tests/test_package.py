@@ -7,7 +7,10 @@ import io
 import re
 from pathlib import Path
 
-from shortstring import cli, search
+import pytest
+
+from shortstring import (DfaCache, LatticeSpec, cli, generate, search,
+                         shortest_string)
 
 from conftest import E1_SYMBOLS_TEXT, E1_TEXT
 
@@ -79,3 +82,39 @@ def test_names_the_layer_timers_patch(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "a b\t0.601861\n"
     assert calls == {"read_text": 1, "validate": 1, "DfaCache": 1,
                      "shortest_string": 1, "backward_distance": 1}
+
+
+@pytest.mark.parametrize("spec, counts", [
+    # the deep, ambig and wide benchmark shapes
+    (LatticeSpec(depth=300, width=4, vocab=4, skew=3.0, seed=0),
+     (1620, 1070)),
+    (LatticeSpec(depth=12, width=5, vocab=3, merge_prob=0.2, seed=0),
+     (44, 19)),
+    (LatticeSpec(depth=6, width=10, vocab=4, merge_prob=0.3, seed=0),
+     (23, 8))])
+def test_layer_timers_see_one_call_per_subset(spec, counts):
+    # perfbench/layers.py times the cache's methods by overriding them in
+    # a subclass, so the search must reach every subset's heuristic, and
+    # every expanded subset's arcs and final weight, through one call each
+    calls = dict.fromkeys(("expand", "heuristic", "final_weight"), 0)
+
+    class CountedCache(DfaCache):
+        def expand(self, handle):
+            calls["expand"] += 1
+            return super().expand(handle)
+
+        def heuristic(self, handle, backward):
+            calls["heuristic"] += 1
+            return super().heuristic(handle, backward)
+
+        def final_weight(self, handle):
+            calls["final_weight"] += 1
+            return super().final_weight(handle)
+
+    a = generate(spec)
+    stats = shortest_string(a, cache=CountedCache(a)).stats
+    assert (stats.subsets_built, stats.popped) == counts
+    # the super-final pop is counted in popped and expands nothing
+    assert calls == {"expand": stats.popped - 1,
+                     "heuristic": stats.subsets_built,
+                     "final_weight": stats.popped - 1}

@@ -152,6 +152,25 @@ class TestSmallCases:
         assert not hasattr(info.value, "stats")
         assert made == []
 
+    @pytest.mark.parametrize("budget, expected", [
+        (None, (1070, 1921, 1620, 158, 2897, 0, 468)),
+        (100, (52, 109, 100, 50, 134, 0, 8)),
+        (1000, (648, 1178, 1000, 158, 1747, 0, 271))])
+    def test_every_exit_hands_over_all_counts(self, budget, expected):
+        # a deep-shaped lattice, decoded whole or stopped by the budget
+        # mid-search: every counter reaches the Stats either way
+        a = generate(LatticeSpec(depth=300, width=4, vocab=4, skew=3.0,
+                                 seed=0))
+        if budget is None:
+            stats = shortest_string(a).stats
+        else:
+            with pytest.raises(BudgetExceededError) as info:
+                shortest_string(a, state_budget=budget)
+            stats = info.value.stats
+        assert stats.as_dict() == dict(zip(
+            ("popped", "pushed", "subsets_built", "queue_peak",
+             "arcs_relaxed", "order_violations", "dominated"), expected))
+
     def test_real_semiring(self, e1):
         result = shortest_string(to_real(e1))
         assert result.labels == (1, 2)

@@ -55,6 +55,39 @@ class TestLogOps:
         for x in (0.0, 1.5, -7.25):
             assert x - x == 0.0
 
+    def test_short_sums_round_as_the_general_formula(self):
+        # log_sum takes a shortcut for two terms; every sum must give the
+        # float the general formula gives, to the sign of a zero
+        def general(weights):
+            best = min(weights, default=INF)
+            if best == INF:
+                return INF
+            return best - math.log(sum([math.exp(best - w)
+                                        for w in weights]))
+
+        rng = random.Random(19)
+        draws = (lambda: rng.uniform(-5.0, 5.0),
+                 lambda: rng.uniform(-1e6, 1e6),
+                 lambda: rng.choice((0.0, -0.0, 1.0, 750.0, -1e6, INF)),
+                 lambda: rng.expovariate(1.0) * rng.choice((1.0, -1.0)))
+        cases = [[rng.choice(draws)() for _ in range(n)]
+                 for n in (2, 3) for _ in range(2000)]
+        cases += [[INF, INF], [INF, 2.5], [2.5, INF], [INF, INF, INF],
+                  [0.0, INF], [-0.0, INF], [INF, -0.0],
+                  [0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0],
+                  [0.0, -0.0, 0.0], [3.25, 3.25], [-7.5, -7.5, -7.5],
+                  [1e308, 1e308], [-1e308, -1e308], [1e308, -1e308],
+                  [-1e308, 1e308], [5e-324, 5e-324], [5e-324, -5e-324],
+                  [0.0, 5e-324], [5e-324, 1e308, -1e308],
+                  [0.0, 745.5], [746.0, 0.0], [-1e6, 1.0], [1.0, -1e6],
+                  [0.0, 744.0, 1e4], [-1e6, -1e6 + 1.0], [-1e6, -1e6, 0.0]]
+        for weights in cases:
+            expected = general(weights).hex()
+            assert log_sum(weights).hex() == expected, weights
+            assert log_sum(tuple(weights)).hex() == expected, weights
+            assert log_sum(dict(enumerate(weights)).values()).hex() \
+                == expected, weights
+
     def test_companion_plus(self):
         # the companion view is min: the sum never loses to it
         for a, b in ((0.9, 1.2), (1.2, 0.9), (0.7, 0.7), (0.3, INF)):
