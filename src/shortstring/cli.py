@@ -47,7 +47,8 @@ EXIT_INVALID = 3
 EXIT_BUDGET = 4
 
 # --oracle's largest weight difference, in -ln units: this much, a relative
-# ORACLE_REL_TOLERANCE or search.rounding's slack·drop, whichever is largest
+# ORACLE_REL_TOLERANCE or search.rounding's margin at zero, whichever is
+# largest
 ORACLE_TOLERANCE = 1e-6
 ORACLE_REL_TOLERANCE = 1e-12
 
@@ -183,10 +184,12 @@ def _cmd_decode(args) -> int:
         return (EXIT_EMPTY if isinstance(exc, EmptyLanguageError)
                 else EXIT_BUDGET)
     if args.dump_dfa:
+        # write_text refuses a weight it would write as no arc
         try:
+            text = write_text(materialize(cache), symbols)
             with open(args.dump_dfa, "w", encoding="utf-8") as handle:
-                handle.write(write_text(materialize(cache), symbols))
-        except OSError as exc:
+                handle.write(text)
+        except (OSError, ValueError) as exc:
             print(f"error: cannot write {args.dump_dfa}: {exc}", file=sys.stderr)
             return EXIT_INVALID
     print(f"{_render(result.labels, symbols)}\t{result.weight:.6f}")
@@ -200,11 +203,11 @@ def _cmd_decode(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BUDGET
         print(f"oracle\t{_render(labels, symbols)}\t{weight:.6f}")
-        slack, drop = rounding(automaton)
         close = math.isclose(encoding.to_log(weight),
                              encoding.to_log(result.weight),
                              rel_tol=ORACLE_REL_TOLERANCE,
-                             abs_tol=max(ORACLE_TOLERANCE, slack * drop))
+                             abs_tol=max(ORACLE_TOLERANCE,
+                                         rounding(automaton)(0.0)))
         if labels != result.labels or not close:
             print("error: search and oracle disagree", file=sys.stderr)
             return EXIT_MISMATCH

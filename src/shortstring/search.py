@@ -17,7 +17,8 @@ string and every subset is settled at most once. The exhaustive
 baseline runs the same search with the fully determinized machine's own
 backward table as its heuristic. Either search refuses, before its
 first pop, an automaton whose heuristic at the root is zero (``+inf``):
-it accepts no string.
+it accepts no string. It writes every count to one :class:`Stats` on
+every exit, and the two errors carry that as ``stats``.
 
 A popped subset is skipped, counted in :attr:`Stats.dominated`, when an
 already expanded subset over the same member states beats it on every
@@ -45,9 +46,11 @@ off by less than ``8·N·2^-53·max(1, |α_q| + D)`` together, and
 
     m = max(ORDER_SLACK, 8·N·2^-53)·max(1, |α_q| + D)
 
-covers that (ORDER_SLACK is the larger term below 1.1e6 states). The
-heuristic and backward sums are as long and round alike, so this one
-bound, :func:`rounding`, also judges the pop order and the audit.
+covers that (ORDER_SLACK is the larger term below 1.1e6 states).
+:func:`rounding` returns this margin as a function of the weight, and
+every check calls it: the dominance limits, and, since the heuristic
+and backward sums are as long and round alike, the pop order, the audit
+and ``decode --oracle``'s tolerance (the margin at zero).
 The expanded masses are kept per member-state set and never dropped:
 the lazy search's f = log_sum_q(α_q + u(q)) is monotone in the masses
 too, and pops come in nondecreasing f, so a later pop never beats an
@@ -115,10 +118,13 @@ class SearchResult:
 TraceFn = Callable[[Optional[int], float, float, float, tuple], None]
 
 
-def rounding(a: Automaton) -> tuple:
-    """``(slack, drop)``: at a weight x, m = ``slack·max(1, |x| + drop)``."""
+def rounding(a: Automaton) -> Callable[[float], float]:
+    """The margin ``m(x) = slack·max(1, |x| + drop)`` within which a
+    search of ``a`` does not tell weights near x apart (``drop = N·W``)."""
     n = a.num_states
-    return max(ORDER_SLACK, 8 * n * 2.0 ** -53), n * max(0.0, -a.min_arc_weight)
+    slack = max(ORDER_SLACK, 8 * n * 2.0 ** -53)
+    drop = n * max(0.0, -a.min_arc_weight)
+    return lambda x: slack * max(1.0, abs(x) + drop)
 
 
 def shortest_string(a: Automaton, *, state_budget: int | None = None,
@@ -138,7 +144,7 @@ def shortest_string(a: Automaton, *, state_budget: int | None = None,
     def heuristic_of(cache):
         bound = backward_distance(a, HEURISTIC_VIEW)
         return lambda handle: cache.heuristic(handle, bound)
-    return _search(a, state_budget, cache, heuristic_of, on_pop)
+    return _astar(a, state_budget, cache, heuristic_of, on_pop)
 
 
 def shortest_string_via_full_determinization(
@@ -149,27 +155,8 @@ def shortest_string_via_full_determinization(
     determinized machine's own backward table, then run the same search
     with that table as the heuristic. Returns the same string and weight
     as :func:`shortest_string` at strictly more determinization work."""
-    return _search(a, state_budget, cache,
-                   lambda cache: _dfa_table(cache, "base").__getitem__, on_pop)
-
-
-def _search(a: Automaton, state_budget: int | None, cache: DfaCache | None,
-            heuristic_of: Callable[[DfaCache], Callable[[int], float]],
-            on_pop: TraceFn | None) -> SearchResult:
-    # heuristic_of runs inside the try: a budget passed while it builds
-    # the baseline's table must hand over the stats too
-    if cache is None:
-        cache = DfaCache(a, state_budget)
-    elif cache.automaton is not a:
-        raise ValueError("the cache wraps another automaton")
-    stats = Stats()
-    try:
-        return _astar(cache, heuristic_of(cache), on_pop, stats)
-    except (EmptyLanguageError, BudgetExceededError) as error:
-        error.stats = stats
-        raise
-    finally:
-        stats.subsets_built = cache.num_states
+    return _astar(a, state_budget, cache,
+                  lambda cache: _dfa_table(cache, "base").__getitem__, on_pop)
 
 
 def _dfa_table(cache: DfaCache, view: str) -> tuple:
@@ -250,40 +237,50 @@ _DEAD = ref(_Path.__new__(_Path))
 _CLOSED = -INF
 
 
-def _astar(cache: DfaCache, heuristic: Callable[[int], float],
-           on_pop: TraceFn | None, stats: Stats) -> SearchResult:
+def _astar(a: Automaton, state_budget: int | None, cache: DfaCache | None,
+           heuristic_of: Callable[[DfaCache], Callable[[int], float]],
+           on_pop: TraceFn | None) -> SearchResult:
+    if cache is None:
+        cache = DfaCache(a, state_budget)
+    elif cache.automaton is not a:
+        raise ValueError("the cache wraps another automaton")
     subset = cache.subset
     expand = cache.expand
     final_weight = cache.final_weight
-    slack, drop = rounding(cache.automaton)
-    # member states -> (gscore, residuals) of the expanded subsets over
-    # them; a member's forward mass is gscore + residual
-    fronts = {}
-    h = []          # handle -> heuristic
-    best_g = []     # handle -> best gscore pushed, or _CLOSED
-    for handle in range(cache.num_states):
-        h_new = heuristic(handle)
-        h.append(h_new)
-        best_g.append(_CLOSED if h_new == ZERO else ZERO)
-    root = cache.start()
-    # the heuristic never overestimates, so zero at the root: no string
-    if h[root] == ZERO:
-        raise EmptyLanguageError("the automaton accepts no string")
-    best_g[root] = ONE
-    # entry: (fscore, string length, prefix path, last label, push count,
-    # handle | None, gscore). The path node is made only when an entry is
-    # expanded or is the goal, and the root's (None, None) makes the
-    # empty path. Equal lengths compare as (prefix, label), the order of
-    # the whole label sequences; the unique push count stops comparison
-    # before the handle
-    heap = [(ONE + h[root], 0, None, None, 1, root, ONE)]
-    # a pop priority below floor, the rounding() margin under the
-    # highest one so far, breaks the order
-    last_fkey = floor = -INF
+    margin = rounding(a)
+    stats = Stats()
     # the counters stay in locals and reach stats on every exit
-    popped = arcs_relaxed = dominated = 0
-    pushed = queue_peak = 1
+    popped = pushed = queue_peak = arcs_relaxed = dominated = 0
+    order_violations = 0
+    # heuristic_of runs inside the try: a budget passed while it builds
+    # the baseline's table must hand over the stats too
     try:
+        heuristic = heuristic_of(cache)
+        # member states -> (gscore, residuals) of the expanded subsets
+        # over them; a member's forward mass is gscore + residual
+        fronts = {}
+        h = []          # handle -> heuristic
+        best_g = []     # handle -> best gscore pushed, or _CLOSED
+        for handle in range(cache.num_states):
+            h_new = heuristic(handle)
+            h.append(h_new)
+            best_g.append(_CLOSED if h_new == ZERO else ZERO)
+        root = cache.start()
+        # the heuristic never overestimates, so zero at the root: no string
+        if h[root] == ZERO:
+            raise EmptyLanguageError("the automaton accepts no string")
+        best_g[root] = ONE
+        # entry: (fscore, string length, prefix path, last label, push
+        # count, handle | None, gscore). The path node is made only when
+        # an entry is expanded or is the goal, and the root's (None, None)
+        # makes the empty path. Equal lengths compare as (prefix, label),
+        # the order of the whole label sequences; the unique push count
+        # stops comparison before the handle
+        heap = [(ONE + h[root], 0, None, None, 1, root, ONE)]
+        pushed = queue_peak = 1
+        # a pop priority below floor, the rounding() margin under the
+        # highest one so far, breaks the order
+        last_fkey = floor = -INF
         while heap:
             fkey, length, prefix, label, _, handle, g = heappop(heap)
             if handle is None:
@@ -291,8 +288,7 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
                 labels = _Path(label, prefix).labels()
                 if on_pop is not None:
                     on_pop(None, g, ONE, g, labels)
-                return SearchResult(
-                    labels, cache.automaton.encoding.from_log(g), stats)
+                return SearchResult(labels, a.encoding.from_log(g), stats)
             if best_g[handle] == _CLOSED:
                 continue
             best_g[handle] = _CLOSED
@@ -305,7 +301,7 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
                 if front is None:
                     fronts[states] = [(g, residuals)]
                 else:
-                    limits = [alpha - slack * max(1.0, abs(alpha) + drop)
+                    limits = [alpha - margin(alpha)
                               for alpha in map(g.__add__, residuals)]
                     if any(all(map(lt, map(g_old.__add__, old), limits))
                            for g_old, old in front):
@@ -315,10 +311,10 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
             popped += 1
             # consistent heuristic: pop priorities never decrease
             if fkey < floor:
-                stats.order_violations += 1
+                order_violations += 1
             elif fkey > last_fkey:
                 last_fkey = fkey
-                floor = fkey - slack * max(1.0, abs(fkey) + drop)
+                floor = fkey - margin(fkey)
             path = _Path(label, prefix)
             if on_pop is not None:
                 on_pop(handle, g, h[handle], g + h[handle], path.labels())
@@ -348,11 +344,16 @@ def _astar(cache: DfaCache, heuristic: Callable[[int], float],
             if len(heap) > queue_peak:
                 queue_peak = len(heap)
         raise EmptyLanguageError("no accepting path was found")
+    except (EmptyLanguageError, BudgetExceededError) as error:
+        error.stats = stats
+        raise
     finally:
         stats.popped = popped
         stats.pushed = pushed
-        stats.arcs_relaxed = arcs_relaxed
+        stats.subsets_built = cache.num_states
         stats.queue_peak = queue_peak
+        stats.arcs_relaxed = arcs_relaxed
+        stats.order_violations = order_violations
         stats.dominated = dominated
 
 
@@ -390,7 +391,7 @@ def heuristic_audit(a: Automaton, *,
     :func:`.automaton.validate` rejects ``a``.
     """
     cache = DfaCache(a, state_budget)
-    slack, drop = rounding(a)
+    margin = rounding(a)
     table = backward_distance(a, HEURISTIC_VIEW)
     beta_hat = _dfa_table(cache, "companion")
     count = cache.num_states
@@ -399,14 +400,14 @@ def heuristic_audit(a: Automaton, *,
     consistency = []
     arcs_checked = 0
     for handle, (h_here, best) in enumerate(zip(h, beta_hat)):
-        if h_here - best > slack * max(1.0, abs(best) + drop):
+        if h_here - best > margin(best):
             admissibility.append(
                 f"state {handle}: heuristic {format_weight(h_here)} exceeds "
                 f"best completion {format_weight(best)}")
         for label, weight, target in cache.expand(handle):
             arcs_checked += 1
             bound = weight + h[target]
-            if h_here - bound > slack * max(1.0, abs(bound) + drop):
+            if h_here - bound > margin(bound):
                 consistency.append(
                     f"arc {handle}-{label}->{target}: heuristic "
                     f"{format_weight(h_here)} exceeds step bound "
@@ -414,7 +415,7 @@ def heuristic_audit(a: Automaton, *,
         final = cache.final_weight(handle)
         if final != ZERO:
             arcs_checked += 1
-            if h_here - final > slack * max(1.0, abs(final) + drop):
+            if h_here - final > margin(final):
                 consistency.append(
                     f"state {handle}: heuristic {format_weight(h_here)} "
                     f"exceeds final weight {format_weight(final)}")

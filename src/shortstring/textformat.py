@@ -15,7 +15,9 @@ integer.
 :func:`read_text` accepts a text only when every state id is a
 non-negative integer, every label is positive (or a known token), every
 weight is a member of the encoding (it converts to a ``-ln`` weight, see
-:func:`.semiring.members`) and no state has two final weights;
+:func:`.semiring.members`), no weight is a nonzero value that
+``float`` rounds to a zero the encoding reads as no arc (a ``real``
+probability below the float range) and no state has two final weights;
 the states are 0 up to the largest id. Otherwise it raises
 :class:`ParseError` for the first bad record in file order, with its line
 number. Records are converted and checked a column at a time, a block of
@@ -31,10 +33,11 @@ from __future__ import annotations
 from itertools import compress
 from operator import itemgetter
 from typing import Optional
+from unicodedata import decimal
 
 from .automaton import Automaton
 from .errors import ParseError
-from .semiring import ONE, Encoding, members
+from .semiring import INF, ONE, Encoding, members
 
 
 class SymbolTable:
@@ -137,23 +140,37 @@ def write_text(a: Automaton, symbols: Optional[SymbolTable] = None) -> str:
 
     The initial state's block comes first so it is re-read as initial.
     Weights are written in the automaton's encoding with full round-trip
-    precision (``log`` weights are re-read bit for bit; ``real`` ones go
-    through ``exp`` and ``ln`` and may move by an ulp). States that carry
-    no arc, no final weight, and no incoming arc are not representable in
-    the format and are dropped on a round trip.
+    precision: ``log`` weights are re-read bit for bit. ``real`` ones go
+    through ``exp`` and ``ln``; they may move by an ulp while the
+    probability is a normal float, and by more below about 2.2e-308,
+    where it is subnormal and keeps fewer digits. A weight whose written
+    value would read back as zero (in ``real``, a ``-ln`` weight above
+    about 745.13, whose probability rounds to ``0.0``) raises
+    :class:`ValueError` naming its record. States that carry no arc, no
+    final weight, and no incoming arc are not representable in the
+    format and are dropped on a round trip.
     """
     if not a.arcs(a.initial) and a.initial not in a.finals:
         raise ValueError("initial state has no arcs and no final weight; "
                          "the text format cannot represent it")
     from_log = a.encoding.from_log
+    zero = from_log(INF)    # the written value that reads as no arc
     lines = []
     order = [a.initial] + [q for q in range(a.num_states) if q != a.initial]
     for q in order:
+        records = []
         for label, weight, target in a.arcs(q):
-            token = symbols.token(label) if symbols is not None else str(label)
-            lines.append(f"{q} {target} {token} {from_log(weight)!r}")
+            token = symbols.token(label) if symbols is not None else label
+            records.append((f"{q} {target} {token}", weight))
         if q in a.finals:
-            lines.append(f"{q} {from_log(a.finals[q])!r}")
+            records.append((str(q), a.finals[q]))
+        for record, weight in records:
+            written = from_log(weight)
+            if written == zero:
+                raise ValueError(f"record '{record}': weight {weight!r} "
+                                 f"would be written as {zero!r}, which "
+                                 f"reads as no arc")
+            lines.append(f"{record} {written!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -231,7 +248,20 @@ def _weight_column(rows, width: int, unweighted: int,
     if not members(weights):
         raise ParseError(f"weight {fields[0]!r} is not a member of the "
                          f"{encoding.name} semiring")
+    # a written zero is no arc; a nonzero value that float() rounds to
+    # zero, a real probability below the float range, is refused instead
+    if INF in weights:
+        for text, value, weight in zip(fields, written, weights):
+            if weight == INF and value == 0.0 and _nonzero(text):
+                raise ParseError(f"weight {fields[0]!r} is below the float "
+                                 f"range and would read as zero")
     if unweighted:
         given = iter(weights)
         weights = [next(given) if has else ONE for has in weighted]
     return weights
+
+
+def _nonzero(text: str) -> bool:
+    # whether a float literal has a nonzero digit before any exponent
+    mantissa = text.lower().partition("e")[0]
+    return any(decimal(char, 0) for char in mantissa)

@@ -434,6 +434,24 @@ class TestReadText:
             assert a.arcs(1) == ((6, 0.0, 2),)
             assert dict(a.finals) == {1: 0.0}
 
+    def test_written_real_zeros_still_pruned(self):
+        # only a nonzero probability that float() rounds to 0.0 is refused
+        a = read_text("0 1 5 0\n0 1 6 0.0\n0 1 7 -0.0\n0 1 8 0e5\n"
+                      "0 1 9 0.5\n1 0.0\n1 2 4\n2\n", REAL)
+        assert (a.pruned_arcs, a.pruned_finals) == (4, 1)
+        assert [label for label, _, _ in a.arcs(0)] == [9]
+
+    def test_log_weight_below_the_float_range_is_one(self):
+        a = read_text("0 1 5 1e-400\n1 -1e-400\n", LOG)
+        assert a.arcs(0) == ((5, 0.0, 1),)
+        assert a.finals[1] == 0.0
+
+    def test_real_underflow_without_exponent_refused(self):
+        text = "0." + "0" * 400 + "1"
+        with pytest.raises(ParseError) as info:
+            read_text(f"0 1 5 0.5\n1 {text}\n", REAL)
+        assert info.value.line == 2
+
 
 # Every message and line number below is the one the line-by-line reader
 # gave; the bulk reader must word each failure the same way.
@@ -476,6 +494,13 @@ PARSE_ERRORS = [
      "line 5002: duplicate final weight for state 0", 5002),
     ("0 0.5\n" + BIG + "0\n5000 x\n", LOG,
      "line 5002: duplicate final weight for state 0", 5002),
+    # a probability below the float range is not a written zero
+    ("0 1 5 1e-400\n1\n", REAL, "line 1: weight '1e-400' is below the "
+     "float range and would read as zero", 1),
+    ("0 1 5 -1e-400\n1\n", REAL, "line 1: weight '-1e-400' is below the "
+     "float range and would read as zero", 1),
+    ("0 1 5 0\n1 2 5 0.5\n2 3E-999\n", REAL, "line 3: weight '3E-999' is "
+     "below the float range and would read as zero", 3),
 ]
 
 
@@ -603,6 +628,27 @@ class TestWriteText:
             a = small_instance(seed)
             text = write_text(a)
             assert write_text(read_text(text, LOG)) == text
+
+    @pytest.mark.parametrize("arcs, finals, message", [
+        ([(0, 1, 800.0, 1)], {1: 0.0},
+         "record '0 1 1': weight 800.0 would be written as 0.0, which "
+         "reads as no arc"),
+        ([(0, 1, 0.5, 1)], {1: 745.2},
+         "record '1': weight 745.2 would be written as 0.0, which reads "
+         "as no arc")])
+    def test_real_weight_written_as_zero_refused(self, arcs, finals,
+                                                 message):
+        # exp(-w) rounds to 0.0 above about 745.13, and 0.0 is no arc
+        with pytest.raises(ValueError) as info:
+            write_text(Automaton(REAL, 2, 0, arcs, finals))
+        assert str(info.value) == message
+
+    def test_real_subnormal_weight_written(self):
+        # a subnormal probability keeps fewer digits: it reads back as an
+        # arc, but its weight moves by far more than an ulp
+        a = Automaton(REAL, 2, 0, [(0, 1, 745.0, 1)], {1: 0.0})
+        (_, weight, _), = read_text(write_text(a), REAL).arcs(0)
+        assert 0.5 < 745.0 - weight < 0.6
 
     def test_unrepresentable_initial(self):
         a = Automaton(LOG, 2, 0, [(1, 1, 0.5, 0)], {0: INF})

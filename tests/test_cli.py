@@ -132,6 +132,36 @@ class TestDecode:
         assert labels.split() == [str(1 + q % 3) for q in range(400)]
         assert weight == "0.000000\n"
 
+    def test_real_probability_below_the_float_range_refused(self, capsys,
+                                                            tmp_path):
+        # float("1e-400") is 0.0, which reads as no arc: the lattice read
+        # as empty; in log units (921.034) it decodes
+        path = tmp_path / "tiny.lat"
+        path.write_text("0 1 1 1e-400\n1\n")
+        code, out, err = run(capsys, "decode", str(path), "--semiring", "real")
+        assert code == 3
+        assert out == ""
+        assert err == (f"error: {path}: line 1: weight '1e-400' is below the "
+                       f"float range and would read as zero\n")
+        path.write_text("0 1 1 921.034\n1\n")
+        assert run(capsys, "decode", str(path)) == (0, "1\t921.034000\n", "")
+
+    def test_dump_dfa_weight_written_as_zero_refused(self, capsys, tmp_path):
+        # a determinized arc of -ln weight 1380.86, whose probability
+        # rounds to 0.0 and would read back as no arc
+        path = tmp_path / "small.lat"
+        path.write_text("0 1 1 1e-300\n0 2 1 0.5\n1 3 2 1e-300\n"
+                        "2 3 3 0.5\n3\n")
+        dump = tmp_path / "sub.dfa"
+        code, out, err = run(capsys, "decode", str(path), "--semiring", "real",
+                             "--full", "--dump-dfa", str(dump))
+        assert code == 3
+        assert out == ""
+        assert err == (f"error: cannot write {dump}: record '1 2 2': weight "
+                       f"1380.8579086158675 would be written as 0.0, which "
+                       f"reads as no arc\n")
+        assert not dump.exists()
+
     def test_long_chain_pop_order(self, capsys, tmp_path):
         # the g + h sums drift past any absolute slack on 20,000 arcs
         path = tmp_path / "chain.lat"

@@ -3,6 +3,7 @@ example, and the names the benchmark's layer timers replace."""
 
 import ast
 import contextlib
+import dataclasses
 import io
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from shortstring import (DfaCache, LatticeSpec, cli, generate, search,
                          shortest_string)
+from shortstring.search import Stats
 
 from conftest import E1_SYMBOLS_TEXT, E1_TEXT
 
@@ -58,6 +60,15 @@ def test_readme_cli_example(tmp_path, monkeypatch, capsys):
     assert program == "shortstring"
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected == "a b\t0.601861\n"
+
+
+def test_readme_stats_list_names_every_field():
+    # the --stats list, one "* `field`: meaning" bullet per field
+    text = README.read_text(encoding="utf-8")
+    section = text.split("`--stats` writes one JSON object", 1)[1]
+    section = section.split("`--print-distances`", 1)[0]
+    assert re.findall(r"^\* `(\w+)`:", section, re.M) == [
+        field.name for field in dataclasses.fields(Stats)]
 
 
 def test_names_the_layer_timers_patch(tmp_path, monkeypatch, capsys):

@@ -171,6 +171,22 @@ class TestSmallCases:
             ("popped", "pushed", "subsets_built", "queue_peak",
              "arcs_relaxed", "order_violations", "dominated"), expected))
 
+    @pytest.mark.parametrize("budget, expected", [
+        (5, (3, 5, 5, 3, 4, 1, 0)),
+        (12, (6, 11, 12, 6, 10, 4, 0))])
+    def test_budget_hands_over_order_violations(self, budget, expected,
+                                                monkeypatch):
+        # the best-path bound overestimates where paths merge, so pops
+        # come out of order before the budget passes
+        monkeypatch.setattr(search_module, "HEURISTIC_VIEW", "companion")
+        a = generate(LatticeSpec(depth=6, width=3, vocab=2, merge_prob=0.4,
+                                 seed=0))
+        with pytest.raises(BudgetExceededError) as info:
+            shortest_string(a, state_budget=budget)
+        assert info.value.stats.as_dict() == dict(zip(
+            ("popped", "pushed", "subsets_built", "queue_peak",
+             "arcs_relaxed", "order_violations", "dominated"), expected))
+
     def test_real_semiring(self, e1):
         result = shortest_string(to_real(e1))
         assert result.labels == (1, 2)
@@ -401,21 +417,26 @@ class TestDominance:
         assert result.stats.dominated == dominated
         assert result.labels == (2, 3)
 
-    def test_cancelling_weights_widen_the_margin(self):
+    @staticmethod
+    def cancelling():
         # label 1 and label 2 reach state 2 with one arc of weight v each,
-        # so (1, 4) and (2, 4) tie and (1, 4) is the answer. Their masses
+        # and state 1 with arcs near -2^40 that a 2^40 arc cancels
+        big = 2.0 ** 40
+        v = 400.3 / 4096
+        arcs = [(0, 2, -(big + 1000), 1), (0, 2, v, 2),
+                (0, 1, -(big - 500), 1), (0, 1, v, 2),
+                (1, 3, big + 1005, 3), (2, 4, 3 / 8192, 3)]
+        return Automaton(LOG, 4, 0, arcs, {3: 0.0})
+
+    def test_cancelling_weights_widen_the_margin(self):
+        # (1, 4) and (2, 4) tie and (1, 4) is the answer. Their masses
         # at state 2 are computed through residuals near 2^40, with
         # gscores near -2^40 that cancel them, and so round differently:
         # 2^-13 apart, in favour of the label-2 subset, which is 1,500
         # lighter on state 1 and pops first. A margin relative to the
         # masses (1e-9 on state 2) let it prune the label-1 subset and
         # give (2, 4); the margin must cover the -2^40 arcs' reach
-        big = 2.0 ** 40
-        v = 400.3 / 4096
-        arcs = [(0, 2, -(big + 1000), 1), (0, 2, v, 2),
-                (0, 1, -(big - 500), 1), (0, 1, v, 2),
-                (1, 3, big + 1005, 3), (2, 4, 3 / 8192, 3)]
-        a = Automaton(LOG, 4, 0, arcs, {3: 0.0})
+        a = self.cancelling()
         result = shortest_string(a)
         labels, weight = oracle_shortest_string(a)
         assert result.labels == labels == (1, 4)
@@ -444,6 +465,35 @@ class TestDominance:
             full = shortest_string_via_full_determinization(a)
             assert full.labels == labels
             assert full.weight == got.weight
+
+
+class TestRounding:
+    class Large:
+        # a stand-in for an automaton of 1.5 million states
+        num_states = 1_500_000
+        min_arc_weight = -0.25
+
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 0.6, -1.0, 1e6, 2.0 ** 40,
+                                   -(2.0 ** 41), 1e12])
+    def test_margin_is_the_documented_formula(self, e1, x):
+        for a in (e1, TestDominance.cancelling(), self.Large()):
+            n = a.num_states
+            slack = max(search_module.ORDER_SLACK, 8 * n * 2.0 ** -53)
+            drop = n * max(0.0, -a.min_arc_weight)
+            assert search_module.rounding(a)(x) == (
+                slack * max(1.0, abs(x) + drop))
+
+    def test_which_term_applies(self, e1):
+        assert search_module.rounding(e1)(0.0) == 1e-9
+        assert search_module.rounding(e1)(-10.0) == 1e-8
+        big = 2.0 ** 40
+        assert search_module.rounding(TestDominance.cancelling())(0.0) == (
+            1e-9 * (4 * (big + 1000)))
+        # past about 1.1e6 states the 8·N·2^-53 term is the larger one
+        slack = 8 * 1_500_000 * 2.0 ** -53
+        assert slack > search_module.ORDER_SLACK
+        assert search_module.rounding(self.Large())(0.0) == (
+            slack * (1_500_000 * 0.25))
 
 
 class TestPathOrder:
