@@ -1,20 +1,20 @@
 """Brute-force ground truth by exhaustive path enumeration.
 
-Desk-scale only: every complete path is walked, so the path budget guards
-against exponential blowups. Deliberately independent of the search
-stack; only the weight algebra and the automaton model are shared, which
-makes these functions usable as an oracle for differential tests of the
-determinizing search. Like the decoders, every entry point raises
-:class:`ValueError` when :func:`.automaton.validate` rejects the
-automaton: a cycle would be walked forever, and path sums beyond its
-range give weights the search refuses to give. Paths are scored in
-``-ln`` weights; the returned weights are converted to the automaton's
-encoding.
+Desk-scale only: every complete path is walked, so the paths are counted
+first, and a path budget refuses exponential blowups before the walk.
+Deliberately independent of the search stack; only the weight algebra
+and the automaton model are shared, which makes these functions usable
+as an oracle for differential tests of the determinizing search. Like
+the decoders, every entry point raises :class:`ValueError` when
+:func:`.automaton.validate` rejects the automaton: a cycle would be
+walked forever, and path sums beyond its range give weights the search
+refuses to give. Paths are scored in ``-ln`` weights; the returned
+weights are converted to the automaton's encoding.
 """
 
 from __future__ import annotations
 
-from .automaton import Automaton, validate
+from .automaton import Automaton, topological_order, validate
 from .errors import BudgetExceededError, EmptyLanguageError
 from .semiring import ONE, ZERO, log_sum
 
@@ -23,9 +23,17 @@ DEFAULT_PATH_BUDGET = 1_000_000
 
 def _complete_paths(a: Automaton, path_budget: int):
     """Yield every complete path's label sequence and ``-ln`` weight, its
-    final weight included."""
+    final weight included. The paths are counted before any is walked,
+    and more than ``path_budget`` of them are refused."""
     validate(a)
-    count = 0
+    # paths from q: one ending at q when it is final, plus those through
+    # each arc; Python ints hold the count however large it grows
+    paths = [0] * a.num_states
+    for q in reversed(topological_order(a)):
+        paths[q] = (q in a.finals) + sum(paths[target]
+                                         for _, _, target in a.arcs(q))
+    if paths[a.initial] > path_budget:
+        raise BudgetExceededError(f"path budget {path_budget} exceeded")
     # explicit-stack depth-first walk; arc-order traversal keeps the
     # aggregation order, and therefore the floats, reproducible
     stack = [(a.initial, (), ONE)]
@@ -33,9 +41,6 @@ def _complete_paths(a: Automaton, path_budget: int):
         state, labels, weight = stack.pop()
         final = a.finals.get(state, ZERO)
         if final != ZERO:
-            count += 1
-            if count > path_budget:
-                raise BudgetExceededError(f"path budget {path_budget} exceeded")
             yield labels, weight + final
         for label, arc_weight, target in reversed(a.arcs(state)):
             stack.append((target, labels + (label,), weight + arc_weight))

@@ -127,36 +127,39 @@ def rounding(a: Automaton) -> Callable[[float], float]:
     return lambda x: slack * max(1.0, abs(x) + drop)
 
 
-def shortest_string(a: Automaton, *, state_budget: int | None = None,
-                    on_pop: TraceFn | None = None,
+def shortest_string(a: Automaton, *, on_pop: TraceFn | None = None,
                     cache: DfaCache | None = None) -> SearchResult:
     """Best label sequence of ``a`` and its merged weight.
 
     Determinization happens on the fly: only subsets the search actually
-    reaches are ever built. Pass ``cache`` to keep the explored machine
-    around afterwards (it must wrap ``a``; its own budget then applies).
+    reaches are ever built. Pass ``cache`` to set a subset budget,
+    ``DfaCache(a, n)``, or to keep the explored machine around afterwards;
+    it must wrap ``a``. Without one the search builds an unbudgeted cache.
     Raises :class:`ValueError` when :func:`.automaton.validate` rejects
     ``a`` or ``cache`` wraps another automaton, :class:`EmptyLanguageError`
     when no complete path exists and :class:`BudgetExceededError` past the
-    subset budget; the last two carry the search's :class:`Stats` as
-    ``stats``.
+    cache's subset budget; the last two carry the search's :class:`Stats`
+    as ``stats``.
     """
-    def heuristic_of(cache):
-        bound = backward_distance(a, HEURISTIC_VIEW)
-        return lambda handle: cache.heuristic(handle, bound)
-    return _astar(a, state_budget, cache, heuristic_of, on_pop)
+    return _astar(a, cache, _string_heuristic, on_pop)
 
 
 def shortest_string_via_full_determinization(
-        a: Automaton, *, state_budget: int | None = None,
-        on_pop: TraceFn | None = None,
+        a: Automaton, *, on_pop: TraceFn | None = None,
         cache: DfaCache | None = None) -> SearchResult:
     """Baseline variant: determinize exhaustively first, compute the
     determinized machine's own backward table, then run the same search
     with that table as the heuristic. Returns the same string and weight
     as :func:`shortest_string` at strictly more determinization work."""
-    return _astar(a, state_budget, cache,
+    return _astar(a, cache,
                   lambda cache: _dfa_table(cache, "base").__getitem__, on_pop)
+
+
+def _string_heuristic(cache: DfaCache) -> Callable[[int], float]:
+    """The lazy search's heuristic, by handle, over ``cache``'s subsets:
+    the one that :func:`heuristic_audit` checks."""
+    bound = backward_distance(cache.automaton, HEURISTIC_VIEW)
+    return lambda handle: cache.heuristic(handle, bound)
 
 
 def _dfa_table(cache: DfaCache, view: str) -> tuple:
@@ -237,11 +240,11 @@ _DEAD = ref(_Path.__new__(_Path))
 _CLOSED = -INF
 
 
-def _astar(a: Automaton, state_budget: int | None, cache: DfaCache | None,
+def _astar(a: Automaton, cache: DfaCache | None,
            heuristic_of: Callable[[DfaCache], Callable[[int], float]],
            on_pop: TraceFn | None) -> SearchResult:
     if cache is None:
-        cache = DfaCache(a, state_budget)
+        cache = DfaCache(a)
     elif cache.automaton is not a:
         raise ValueError("the cache wraps another automaton")
     subset = cache.subset
@@ -381,10 +384,11 @@ def heuristic_audit(a: Automaton, *,
     """Exhaustively verify the search heuristic on one automaton.
 
     Fully determinizes ``a``, then checks per subset that the heuristic
-    :func:`shortest_string` uses (built from the ``HEURISTIC_VIEW`` table)
-    never overestimates the best single completion (admissibility, against
-    the companion backward table of the determinized machine) and never
-    overestimates across any single arc or the final hop (consistency).
+    :func:`shortest_string` uses (the same builder, over the
+    ``HEURISTIC_VIEW`` table) never overestimates the best single
+    completion (admissibility, against the companion backward table of
+    the determinized machine) and never overestimates across any single
+    arc or the final hop (consistency).
     A heuristic over a bound x by more than the :func:`rounding` margin
     that the search's dominance and pop-order checks use is reported;
     small instances only. Raises :class:`ValueError` when
@@ -392,10 +396,10 @@ def heuristic_audit(a: Automaton, *,
     """
     cache = DfaCache(a, state_budget)
     margin = rounding(a)
-    table = backward_distance(a, HEURISTIC_VIEW)
+    heuristic = _string_heuristic(cache)
     beta_hat = _dfa_table(cache, "companion")
     count = cache.num_states
-    h = [cache.heuristic(handle, table) for handle in range(count)]
+    h = [heuristic(handle) for handle in range(count)]
     admissibility = []
     consistency = []
     arcs_checked = 0

@@ -363,6 +363,17 @@ class TestDecode:
         assert out == "1 1\t1.000000\n"
         assert err == "error: path budget 3 exceeded\n"
 
+    def test_oracle_counts_paths_before_walking(self, capsys, tmp_path):
+        # 60 layers of two parallel arcs: 2^60 paths, refused unwalked
+        path = tmp_path / "parallel.lat"
+        path.write_text("".join(f"{q} {q + 1} {label} 0.5\n"
+                                for q in range(60) for label in (1, 2))
+                        + "60 0.0\n")
+        code, out, err = run(capsys, "decode", str(path), "--oracle")
+        assert code == 4
+        assert out == " ".join(["1"] * 60) + "\t30.000000\n"
+        assert err == "error: path budget 1000000 exceeded\n"
+
     @pytest.mark.parametrize("mode", [
         (), ("--full",), ("--oracle",), ("--print-distances",), ("--trace",),
         ("--dump-dfa", "{dump}")],
@@ -827,8 +838,11 @@ def test_decode_fuzz(capsys, tmp_path):
     for _ in range(1200):
         text, encoding = _mutated_lattice(rng)
         path.write_text(text)
-        flags = (("--budget", str(rng.randint(1, 5))) if rng.random() < 0.15
-                 else rng.choice(FLAGS))
+        # a small budget, alone or shared by the decode and the oracle
+        roll = rng.random()
+        budget = ("--budget", str(rng.randint(1, 5)))
+        flags = (budget if roll < 0.15 else ("--oracle", *budget)
+                 if roll < 0.25 else rng.choice(FLAGS))
         code, out, _ = run(capsys, "decode", str(path), "--semiring", encoding,
                            *flags)
         assert code in (0, 2, 3, 4), (text, encoding, flags, code)

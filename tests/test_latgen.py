@@ -6,6 +6,7 @@ from shortstring import (DfaCache, LatticeSpec, bench_csv, bench_run,
                          generate, loglog_slope, measure_instance,
                          shortest_string, total_distance, validate,
                          write_text)
+from shortstring import latgen
 from shortstring.latgen import BenchRow
 
 from conftest import make_e1, small_instance
@@ -89,6 +90,26 @@ class TestBench:
             a = generate(spec)
             assert row.dfa_states == DfaCache(a).full_expand()
             assert row.visited_states == shortest_string(a).stats.popped
+
+    def test_one_cache_per_instance(self, monkeypatch):
+        # the lazy decode and the exhaustive count share one cache, whose
+        # remaining subsets give the same count as a fresh full expansion
+        made = []
+
+        class CountedCache(DfaCache):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(latgen, "DfaCache", CountedCache)
+        for depth in (4, 6, 8, 10, 12, 14, 16):
+            for seed in range(10):
+                a = generate(LatticeSpec(depth=depth, width=4, vocab=3,
+                                         merge_prob=0.25, seed=seed))
+                made.clear()
+                dfa_states, _, _ = measure_instance(a)
+                assert len(made) == 1
+                assert dfa_states == DfaCache(a).full_expand()
 
     def test_budget_rows_marked(self):
         specs = [LatticeSpec(depth=6, width=4, vocab=2, merge_prob=0.5, seed=0),

@@ -87,6 +87,38 @@ class TestShortestPath:
             oracle_shortest_path(a)
 
 
+def parallel_layers(layers: int, finals=()) -> Automaton:
+    """``layers`` layers of two parallel arcs, labels 1 and 2: 2^layers
+    complete paths into the last state, and 2^q more into each state q
+    of ``finals``."""
+    arcs = [(q, label, weight, q + 1) for q in range(layers)
+            for label, weight in ((1, 0.5), (2, 0.7))]
+    return Automaton(LOG, layers + 1, 0, arcs,
+                     {q: 0.0 for q in (*finals, layers)})
+
+
+class TestPathBudget:
+    ENTRY_POINTS = (enumerate_strings, oracle_shortest_string,
+                    oracle_shortest_path)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_counted_before_walking(self, entry):
+        # 2^60 paths: a walk would never end, the count refuses at once
+        with pytest.raises(BudgetExceededError) as info:
+            entry(parallel_layers(60))
+        assert str(info.value) == "path budget 1000000 exceeded"
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_exactly_the_budget_fits(self, entry):
+        # 8 paths into state 3 and 2 more that stop at final state 1
+        a = parallel_layers(3, finals=(1,))
+        entry(a, path_budget=10)
+        with pytest.raises(BudgetExceededError) as info:
+            entry(a, path_budget=9)
+        assert str(info.value) == "path budget 9 exceeded"
+        assert len(enumerate_strings(a, path_budget=10)) == 10
+
+
 class TestCyclicInput:
     def test_rejected_up_front(self):
         from shortstring import CycleError

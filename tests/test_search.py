@@ -90,14 +90,14 @@ class TestSmallCases:
 
     def test_budget(self, e1):
         with pytest.raises(BudgetExceededError):
-            shortest_string(e1, state_budget=1)
+            shortest_string(e1, cache=DfaCache(e1, 1))
 
     @pytest.mark.parametrize("search", [
         shortest_string, shortest_string_via_full_determinization])
     def test_errors_carry_stats(self, e1, search, monkeypatch):
         # each error exit hands over the one Stats the search made, with
         # the subsets of the cache it searched, whether it made that cache
-        # or was given one
+        # or was given one; a budget comes only with a given cache
         made, caches = [], []
 
         class RecordedStats(search_module.Stats):
@@ -119,7 +119,7 @@ class TestSmallCases:
             cache = DfaCache(a, budget) if given else None
             with pytest.raises((BudgetExceededError,
                                 EmptyLanguageError)) as info:
-                search(a, state_budget=budget, cache=cache)
+                search(a, cache=cache)
             if given:
                 assert caches == []
             else:
@@ -130,14 +130,14 @@ class TestSmallCases:
 
         empty = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {})
         lazy = search is shortest_string
+        # the budget passes mid-search for the lazy search, and inside
+        # full_expand, before the first push, for the baseline
+        error = refusal(e1, 2, True)
+        assert isinstance(error, BudgetExceededError)
+        assert error.stats.subsets_built == 2
+        assert error.stats.popped == (1 if lazy else 0)
+        assert (error.stats.pushed > 0) == lazy
         for given in (False, True):
-            # the budget passes mid-search for the lazy search, and
-            # inside full_expand, before the first push, for the baseline
-            error = refusal(e1, 2, given)
-            assert isinstance(error, BudgetExceededError)
-            assert error.stats.subsets_built == 2
-            assert error.stats.popped == (1 if lazy else 0)
-            assert (error.stats.pushed > 0) == lazy
             # the empty language is refused at the root, before any push
             error = refusal(empty, None, given)
             assert isinstance(error, EmptyLanguageError)
@@ -165,7 +165,7 @@ class TestSmallCases:
             stats = shortest_string(a).stats
         else:
             with pytest.raises(BudgetExceededError) as info:
-                shortest_string(a, state_budget=budget)
+                shortest_string(a, cache=DfaCache(a, budget))
             stats = info.value.stats
         assert stats.as_dict() == dict(zip(
             ("popped", "pushed", "subsets_built", "queue_peak",
@@ -182,7 +182,7 @@ class TestSmallCases:
         a = generate(LatticeSpec(depth=6, width=3, vocab=2, merge_prob=0.4,
                                  seed=0))
         with pytest.raises(BudgetExceededError) as info:
-            shortest_string(a, state_budget=budget)
+            shortest_string(a, cache=DfaCache(a, budget))
         assert info.value.stats.as_dict() == dict(zip(
             ("popped", "pushed", "subsets_built", "queue_peak",
              "arcs_relaxed", "order_violations", "dominated"), expected))
@@ -307,7 +307,7 @@ class TestStringBound:
         for seed in range(5):
             a = generate(LatticeSpec(depth=25, width=5, vocab=3,
                                      merge_prob=0.2, seed=seed))
-            result = shortest_string(a, state_budget=5000)
+            result = shortest_string(a, cache=DfaCache(a, 5000))
             assert len(result.labels) == 25
             bound = backward_distance(a, "string")[a.initial]
             assert bound <= result.weight + 1e-9
@@ -450,7 +450,7 @@ class TestDominance:
         for seed in range(5):
             a = generate(LatticeSpec(depth=100, width=4, vocab=4, skew=3.0,
                                      seed=seed))
-            result = shortest_string(a, state_budget=800)
+            result = shortest_string(a, cache=DfaCache(a, 800))
             assert len(result.labels) == 100
             assert result.stats.dominated > 0
 
@@ -623,6 +623,32 @@ class TestHeuristicAudit:
     def test_budget_propagates(self, e1):
         with pytest.raises(BudgetExceededError):
             heuristic_audit(e1, state_budget=1)
+
+    def test_audit_checks_the_search_heuristic(self, e1, monkeypatch):
+        # the search and the audit take every h from one builder, called
+        # once by each: a heuristic raised by 1e-6 shows in the pops and
+        # breaks the final hops the audit checks
+        built = []
+
+        def raised(cache, _real=search_module._string_heuristic):
+            built.append(cache)
+            heuristic = _real(cache)
+            return lambda handle: heuristic(handle) + 1e-6
+
+        def trace(pops):
+            return lambda handle, g, h, f, labels: pops.append((handle, h))
+
+        plain, shifted = [], []
+        shortest_string(e1, on_pop=trace(plain))
+        monkeypatch.setattr(search_module, "_string_heuristic", raised)
+        shortest_string(e1, on_pop=trace(shifted))
+        assert len(built) == 1
+        # the super-final pop reports h = 0 whatever the heuristic
+        assert shifted == [(handle, h if handle is None else h + 1e-6)
+                           for handle, h in plain]
+        report = heuristic_audit(e1)
+        assert len(built) == 2
+        assert not report.ok
 
     def test_wrong_view_reported(self, e1, monkeypatch):
         # the best-path bound is 0.9 at the root, over the merged "a b"
