@@ -46,12 +46,6 @@ EXIT_EMPTY = 2
 EXIT_INVALID = 3
 EXIT_BUDGET = 4
 
-# --oracle's largest weight difference, in -ln units: this much, a relative
-# ORACLE_REL_TOLERANCE or search.rounding's margin at zero, whichever is
-# largest
-ORACLE_TOLERANCE = 1e-6
-ORACLE_REL_TOLERANCE = 1e-12
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse drops an OSError from writing help or usage; let it reach
@@ -184,7 +178,7 @@ def _cmd_decode(args) -> int:
         return (EXIT_EMPTY if isinstance(exc, EmptyLanguageError)
                 else EXIT_BUDGET)
     if args.dump_dfa:
-        # write_text refuses a weight it would write as no arc
+        # write_text refuses a weight that would not read back as an arc
         try:
             text = write_text(materialize(cache), symbols)
             with open(args.dump_dfa, "w", encoding="utf-8") as handle:
@@ -203,11 +197,9 @@ def _cmd_decode(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BUDGET
         print(f"oracle\t{_render(labels, symbols)}\t{weight:.6f}")
-        close = math.isclose(encoding.to_log(weight),
-                             encoding.to_log(result.weight),
-                             rel_tol=ORACLE_REL_TOLERANCE,
-                             abs_tol=max(ORACLE_TOLERANCE,
-                                         rounding(automaton)(0.0)))
+        searched = encoding.to_log(result.weight)
+        close = math.isclose(encoding.to_log(weight), searched, rel_tol=0.0,
+                             abs_tol=rounding(automaton)(searched))
         if labels != result.labels or not close:
             print("error: search and oracle disagree", file=sys.stderr)
             return EXIT_MISMATCH

@@ -50,7 +50,7 @@ covers that (ORDER_SLACK is the larger term below 1.1e6 states).
 :func:`rounding` returns this margin as a function of the weight, and
 every check calls it: the dominance limits, and, since the heuristic
 and backward sums are as long and round alike, the pop order, the audit
-and ``decode --oracle``'s tolerance (the margin at zero).
+and ``decode --oracle``'s tolerance (the margin at the decoded weight).
 The expanded masses are kept per member-state set and never dropped:
 the lazy search's f = log_sum_q(α_q + u(q)) is monotone in the masses
 too, and pops come in nondecreasing f, so a later pop never beats an

@@ -25,7 +25,8 @@ lines at a time. Each check is stated once, in the column readers: when
 a block fails, its lines are read again one at a time through the same
 readers, and the first that fails on its own is the bad record.
 :func:`write_text` writes an :class:`.automaton.Automaton` back in the
-format.
+format, and refuses a weight whose written value :func:`read_text` would
+refuse or read as no arc.
 """
 
 from __future__ import annotations
@@ -143,18 +144,19 @@ def write_text(a: Automaton, symbols: Optional[SymbolTable] = None) -> str:
     precision: ``log`` weights are re-read bit for bit. ``real`` ones go
     through ``exp`` and ``ln``; they may move by an ulp while the
     probability is a normal float, and by more below about 2.2e-308,
-    where it is subnormal and keeps fewer digits. A weight whose written
-    value would read back as zero (in ``real``, a ``-ln`` weight above
-    about 745.13, whose probability rounds to ``0.0``) raises
-    :class:`ValueError` naming its record. States that carry no arc, no
-    final weight, and no incoming arc are not representable in the
-    format and are dropped on a round trip.
+    where it is subnormal and keeps fewer digits. Each written value is
+    read back by the encoding, and one that :func:`read_text` would read
+    as zero (no arc) or refuse raises :class:`ValueError` naming its
+    record: in ``real``, a ``-ln`` weight above about 745.13, whose
+    probability rounds to ``0.0``, or below about -709.78, whose
+    probability overflows to ``inf``. States that carry no arc, no final
+    weight, and no incoming arc are not representable in the format and
+    are dropped on a round trip.
     """
     if not a.arcs(a.initial) and a.initial not in a.finals:
         raise ValueError("initial state has no arcs and no final weight; "
                          "the text format cannot represent it")
-    from_log = a.encoding.from_log
-    zero = from_log(INF)    # the written value that reads as no arc
+    encoding = a.encoding
     lines = []
     order = [a.initial] + [q for q in range(a.num_states) if q != a.initial]
     for q in order:
@@ -165,11 +167,14 @@ def write_text(a: Automaton, symbols: Optional[SymbolTable] = None) -> str:
         if q in a.finals:
             records.append((str(q), a.finals[q]))
         for record, weight in records:
-            written = from_log(weight)
-            if written == zero:
+            written = encoding.from_log(weight)
+            read = encoding.to_log(written)
+            if read == INF or not members((read,)):
+                reason = ("reads as no arc" if read == INF else f"is not a "
+                          f"member of the {encoding.name} semiring")
                 raise ValueError(f"record '{record}': weight {weight!r} "
-                                 f"would be written as {zero!r}, which "
-                                 f"reads as no arc")
+                                 f"would be written as {written!r}, which "
+                                 f"{reason}")
             lines.append(f"{record} {written!r}")
     return "\n".join(lines) + "\n"
 

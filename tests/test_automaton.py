@@ -635,10 +635,17 @@ class TestWriteText:
          "reads as no arc"),
         ([(0, 1, 0.5, 1)], {1: 745.2},
          "record '1': weight 745.2 would be written as 0.0, which reads "
-         "as no arc")])
+         "as no arc"),
+        ([(0, 1, -800.0, 1)], {1: 0.0},
+         "record '0 1 1': weight -800.0 would be written as inf, which is "
+         "not a member of the real semiring"),
+        ([(0, 1, 0.5, 1)], {1: -710.0},
+         "record '1': weight -710.0 would be written as inf, which is not "
+         "a member of the real semiring")])
     def test_real_weight_written_as_zero_refused(self, arcs, finals,
                                                  message):
-        # exp(-w) rounds to 0.0 above about 745.13, and 0.0 is no arc
+        # exp(-w) rounds to 0.0 above about 745.13, and 0.0 is no arc;
+        # it overflows to inf below about -709.78, which read_text refuses
         with pytest.raises(ValueError) as info:
             write_text(Automaton(REAL, 2, 0, arcs, finals))
         assert str(info.value) == message

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from shortstring import (LOG, Automaton, LatticeSpec, cli, generate,
-                         shortest_string, write_text)
+from shortstring import (LOG, REAL, Automaton, LatticeSpec, cli, generate,
+                         oracle_shortest_string, read_text, shortest_string,
+                         write_text)
+from shortstring.search import rounding
 
 from conftest import E1_SYMBOLS_TEXT, E1_TEXT, small_instance, to_real
 
@@ -161,6 +163,45 @@ class TestDecode:
                        f"1380.8579086158675 would be written as 0.0, which "
                        f"reads as no arc\n")
         assert not dump.exists()
+
+    def test_dump_dfa_weight_written_as_inf_refused(self, capsys, tmp_path):
+        # string 1 has probability 2e308: its determinized arc would be
+        # written as inf, which the reader refuses
+        path = tmp_path / "big.lat"
+        path.write_text("0 1 1 1e308\n0 2 1 1e308\n1 1\n2 1\n")
+        dump = tmp_path / "dfa.txt"
+        code, out, err = run(capsys, "decode", str(path), "--semiring", "real",
+                             "--dump-dfa", str(dump))
+        assert code == 3
+        assert out == ""
+        assert err == (f"error: cannot write {dump}: record '0 1 1': weight "
+                       f"-709.889355822726 would be written as inf, which is "
+                       f"not a member of the real semiring\n")
+        assert not dump.exists()
+
+    @pytest.mark.parametrize("mode", [(), ("--full",)], ids=["lazy", "full"])
+    @pytest.mark.parametrize("encoding", ["log", "real"])
+    def test_dumped_machine_decodes_to_the_same_answer(self, capsys, tmp_path,
+                                                       mode, encoding):
+        path, dump = tmp_path / "small.lat", tmp_path / "dfa.txt"
+        for seed in range(20):
+            lattice = small_instance(seed)
+            path.write_text(write_text(to_real(lattice) if encoding == "real"
+                                       else lattice))
+            code, out, err = run(capsys, "decode", str(path), "--semiring",
+                                 encoding, "--dump-dfa", str(dump), *mode)
+            assert code == 0, err
+            code, again, err = run(capsys, "decode", str(dump), "--semiring",
+                                   encoding)
+            assert code == 0, err
+            if encoding == "log":
+                assert again == out
+            else:   # real weights may move by an ulp through the file
+                (labels, weight), (labels2, weight2) = (
+                    line.split("\t") for line in (out, again))
+                assert labels2 == labels
+                assert float(weight2) == pytest.approx(float(weight),
+                                                       abs=1e-6)
 
     def test_long_chain_pop_order(self, capsys, tmp_path):
         # the g + h sums drift past any absolute slack on 20,000 arcs
@@ -433,15 +474,61 @@ class TestDecode:
             code, _, err = run(capsys, "decode", str(path), "--oracle")
             assert code == 0, (seed, err)
 
-    def test_oracle_tolerance_still_absolute_on_small_weights(
+    def test_oracle_agrees_within_the_margin_at_the_decoded_weight(
             self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "plain.lat"
         path.write_text("0 1 1 0.5\n1 0.0\n")
-        for gap, expected in ((0.9e-6, 0), (1.1e-6, 1)):
+        margin = rounding(read_text(path.read_text(), LOG))(0.5)
+        assert margin == 1e-9
+        for gap, expected in ((0.5 * margin, 0), (2 * margin, 1)):
             monkeypatch.setattr(cli, "oracle_shortest_string",
                                 lambda a, path_budget: ((1,), 0.5 + gap))
             code, _, _ = run(capsys, "decode", str(path), "--oracle")
             assert code == expected
+
+    def test_oracle_margin_headroom(self):
+        # seeded lattices as generated, shifted, negated, with cancelling
+        # ±2^40 offsets and in real: where the labels agree, the search and
+        # the oracle weights stay far inside the margin --oracle allows
+        def variants(a):
+            arcs, finals = list(a.all_arcs()), dict(a.finals)
+
+            def build(encoding, arc_weight, start=0.0, end=0.0):
+                return Automaton(
+                    encoding, a.num_states, a.initial,
+                    [(s, label, arc_weight(w) + (start if s == a.initial
+                                                 else 0.0), t)
+                     for s, label, w, t in arcs],
+                    {q: w + end for q, w in finals.items()})
+            return (a, build(LOG, lambda w: w + 1e6),
+                    build(LOG, lambda w: w + 1e14),
+                    build(LOG, lambda w: -0.5 * w),
+                    build(LOG, lambda w: w, -2.0 ** 40, 2.0 ** 40),
+                    build(REAL, lambda w: 60 * w))
+
+        rng = random.Random(2022)
+        decodes = agreeing = 0
+        for _ in range(400):
+            width, depth = rng.randint(2, 6), rng.randint(3, 9)
+            while width ** depth > 2000:    # paths the oracle walks
+                depth -= 1
+            spec = LatticeSpec(depth=depth, width=width,
+                               vocab=rng.randint(1, 4),
+                               skew=rng.choice((0.3, 1.0, 3.0)),
+                               merge_prob=rng.choice((0.0, 0.2, 0.5, 0.9)),
+                               seed=rng.randrange(10 ** 6))
+            for a in variants(generate(spec)):
+                decodes += 1
+                result = shortest_string(a)
+                labels, weight = oracle_shortest_string(a)
+                if labels != result.labels:     # a near-tie
+                    continue
+                agreeing += 1
+                searched = a.encoding.to_log(result.weight)
+                gap = (0.0 if weight == result.weight
+                       else abs(a.encoding.to_log(weight) - searched))
+                assert gap <= 1e-3 * rounding(a)(searched), (spec, a.encoding)
+        assert agreeing >= 0.98 * decodes
 
     def test_oracle_allows_the_rounding_of_cancelling_weights(
             self, capsys, tmp_path):
