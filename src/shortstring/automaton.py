@@ -8,16 +8,16 @@ on a stored arc. A state's arcs are plain ``(label, weight, target)``
 tuples sorted by (label, target, weight), so that subset expansion and
 weight summation are deterministic.
 
-The acceptor contract has two halves. :class:`Automaton` checks each
-arc and final entry as it is built; :func:`validate` checks what needs
-the whole graph, cycles and path sums, and raises on the first
-violation. Every decoder and the oracle refuse what it rejects (see
-:class:`.determinize.DfaCache`). Arcs and final weights of zero are
-dropped and counted. :func:`topological_order` puts the smallest ready
-state first; for an automaton whose arcs all go from a smaller to a
-larger state id, as in lattices numbered forward, that order is
-``0 .. num_states - 1`` and is known when the automaton is built. On cyclic input it names one arc on
-a cycle, found from the states its pass leaves, without a second walk.
+The acceptor contract is checked once, where an :class:`Automaton` is
+built: each arc and final entry, then, through :func:`validate`, what
+needs the whole graph, cycles and path sums. The first violation
+raises, so every automaton that exists is valid, and no decoder checks
+again. Arcs and final weights of zero are dropped and counted.
+:func:`topological_order` puts the smallest ready state first; for an
+automaton whose arcs all go from a smaller to a larger state id, as in
+lattices numbered forward, that order is ``0 .. num_states - 1``, known
+without a pass. On cyclic input it names one arc on a cycle, found from
+the states its pass leaves, without a second walk.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class Automaton:
     ``0 .. num_states - 1``, a label of at least 1 and a ``-ln`` weight
     (a real or ``+inf``, as :func:`.semiring.members` judges), or
     :class:`ValueError` names the first offender in input order, arcs
-    first. Cycles and path sums are left to :func:`validate`.
+    first. The graph must then pass :func:`validate`.
     """
 
     def __init__(self, encoding: Encoding, num_states: int, initial: int,
@@ -120,6 +120,7 @@ class Automaton:
         # memo of topological_order once it succeeded; an automaton whose
         # arcs all go from a smaller to a larger state id is ordered by id
         self._order = range(num_states) if all(map(lt, sources, targets)) else None
+        validate(self)
 
     def arcs(self, state: int) -> tuple:
         return self._arcs[state]
@@ -165,7 +166,8 @@ def _first_offence(num_states: int, arcs: list, finals: dict) -> str:
 
 
 def validate(a: Automaton) -> None:
-    """Check the part of the acceptor contract that needs the whole graph.
+    """Check the part of the acceptor contract that needs the whole graph;
+    :class:`Automaton` runs it as the last step of construction.
 
     :class:`Automaton` has already checked each arc and final entry. A
     valid automaton is also acyclic, or :class:`CycleError` names an arc
@@ -209,11 +211,11 @@ def topological_order(a: Automaton) -> list:
     """States ordered so every arc goes forward; smallest-id-first among
     ready states, so the result is unique. Raises :class:`CycleError` on
     cyclic input, naming one arc on a cycle, found from the states the
-    pass leaves. The order is computed once per automaton and returned as
-    a fresh list on every call. When every arc goes from a smaller to a
-    larger state id, the order is known from construction: it is
-    ``0 .. num_states - 1``, since each state's predecessors all have
-    smaller ids."""
+    pass leaves. The order is computed once per automaton, by
+    :func:`validate` as the automaton is built, and returned as a fresh
+    list on every call. When every arc goes from a smaller to a larger
+    state id, it is ``0 .. num_states - 1`` without a pass, since each
+    state's predecessors all have smaller ids."""
     if a._order is not None:
         return list(a._order)
     indegree = [0] * a.num_states

@@ -24,17 +24,13 @@ from __future__ import annotations
 
 from math import exp, log1p
 
-from .automaton import Automaton, validate
+from .automaton import Automaton
 from .errors import BudgetExceededError
 from .semiring import ONE, ZERO, log_sum
 
 
 class DfaCache:
     """On-demand determinization of one acyclic automaton.
-
-    The automaton must pass :func:`.automaton.validate`, whose
-    :class:`ValueError` passes through. Every decoder builds its subsets
-    here, so each refuses what ``validate`` rejects.
 
     A cache is owned by a single search: expansion mutates the memo, so
     concurrent expansion of one cache is not supported. Distinct caches
@@ -44,7 +40,6 @@ class DfaCache:
     def __init__(self, automaton: Automaton, state_budget: int | None = None):
         if state_budget is not None and state_budget < 1:
             raise ValueError("state budget must be positive")
-        validate(automaton)
         self.automaton = automaton
         self.state_budget = state_budget
         self._subsets = []      # handle -> tuple[(state, residual), ...]

@@ -107,10 +107,10 @@ class BenchRow:
 def measure_instance(a, *, state_budget: int | None = None) -> tuple:
     """Measure one automaton: exhaustive determinized state count, subsets
     visited by the lazy decode (super-final pop included), and the wall
-    time of the lazy decode, validation included, in microseconds. The
-    lazy decode runs and is timed first; the exhaustive count expands the
-    rest of its cache, and is None when it would pass ``state_budget``,
-    which the lazy decode alone must fit."""
+    time of the lazy decode in microseconds (``a`` was validated when it
+    was built). The lazy decode runs and is timed first; the exhaustive
+    count expands the rest of its cache, and is None when it would pass
+    ``state_budget``, which the lazy decode alone must fit."""
     started = time.perf_counter()
     cache = DfaCache(a, state_budget)
     result = shortest_string(a, cache=cache)

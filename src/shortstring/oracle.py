@@ -4,17 +4,14 @@ Desk-scale only: every complete path is walked, so the paths are counted
 first, and a path budget refuses exponential blowups before the walk.
 Deliberately independent of the search stack; only the weight algebra
 and the automaton model are shared, which makes these functions usable
-as an oracle for differential tests of the determinizing search. Like
-the decoders, every entry point raises :class:`ValueError` when
-:func:`.automaton.validate` rejects the automaton: a cycle would be
-walked forever, and path sums beyond its range give weights the search
-refuses to give. Paths are scored in ``-ln`` weights; the returned
-weights are converted to the automaton's encoding.
+as an oracle for differential tests of the determinizing search. Paths
+are scored in ``-ln`` weights; the returned weights are converted to the
+automaton's encoding.
 """
 
 from __future__ import annotations
 
-from .automaton import Automaton, topological_order, validate
+from .automaton import Automaton, topological_order
 from .errors import BudgetExceededError, EmptyLanguageError
 from .semiring import ONE, ZERO, log_sum
 
@@ -25,7 +22,6 @@ def _complete_paths(a: Automaton, path_budget: int):
     """Yield every complete path's label sequence and ``-ln`` weight, its
     final weight included. The paths are counted before any is walked,
     and more than ``path_budget`` of them are refused."""
-    validate(a)
     # paths from q: one ending at q when it is final, plus those through
     # each arc; Python ints hold the count however large it grows
     paths = [0] * a.num_states

@@ -135,11 +135,10 @@ def shortest_string(a: Automaton, *, on_pop: TraceFn | None = None,
     reaches are ever built. Pass ``cache`` to set a subset budget,
     ``DfaCache(a, n)``, or to keep the explored machine around afterwards;
     it must wrap ``a``. Without one the search builds an unbudgeted cache.
-    Raises :class:`ValueError` when :func:`.automaton.validate` rejects
-    ``a`` or ``cache`` wraps another automaton, :class:`EmptyLanguageError`
-    when no complete path exists and :class:`BudgetExceededError` past the
-    cache's subset budget; the last two carry the search's :class:`Stats`
-    as ``stats``.
+    Raises :class:`ValueError` when ``cache`` wraps another automaton,
+    :class:`EmptyLanguageError` when no complete path exists and
+    :class:`BudgetExceededError` past the cache's subset budget; the last
+    two carry the search's :class:`Stats` as ``stats``.
     """
     return _astar(a, cache, _string_heuristic, on_pop)
 
@@ -259,8 +258,8 @@ def _astar(a: Automaton, cache: DfaCache | None,
     # the baseline's table must hand over the stats too
     try:
         heuristic = heuristic_of(cache)
-        # member states -> (gscore, residuals) of the expanded subsets
-        # over them; a member's forward mass is gscore + residual
+        # member states -> the forward masses (gscore + residual, per
+        # member) of the expanded subsets over them
         fronts = {}
         h = []          # handle -> heuristic
         best_g = []     # handle -> best gscore pushed, or _CLOSED
@@ -300,17 +299,16 @@ def _astar(a: Automaton, cache: DfaCache | None,
                 # a lone member's subset has one handle, so only larger
                 # ones can meet another subset over the same states
                 states, residuals = zip(*members)
+                masses = tuple(map(g.__add__, residuals))
                 front = fronts.get(states)
                 if front is None:
-                    fronts[states] = [(g, residuals)]
+                    fronts[states] = [masses]
                 else:
-                    limits = [alpha - margin(alpha)
-                              for alpha in map(g.__add__, residuals)]
-                    if any(all(map(lt, map(g_old.__add__, old), limits))
-                           for g_old, old in front):
+                    limits = [alpha - margin(alpha) for alpha in masses]
+                    if any(all(map(lt, old, limits)) for old in front):
                         dominated += 1
                         continue
-                    front.append((g, residuals))
+                    front.append(masses)
             popped += 1
             # consistent heuristic: pop priorities never decrease
             if fkey < floor:
@@ -391,8 +389,7 @@ def heuristic_audit(a: Automaton, *,
     arc or the final hop (consistency).
     A heuristic over a bound x by more than the :func:`rounding` margin
     that the search's dominance and pop-order checks use is reported;
-    small instances only. Raises :class:`ValueError` when
-    :func:`.automaton.validate` rejects ``a``.
+    small instances only.
     """
     cache = DfaCache(a, state_budget)
     margin = rounding(a)

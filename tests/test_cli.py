@@ -179,6 +179,25 @@ class TestDecode:
                        f"not a member of the real semiring\n")
         assert not dump.exists()
 
+    def test_dump_dfa_path_sums_beyond_limit_refused(self, capsys, tmp_path):
+        # the lattice's sums reach the limit, and decode; the residual of
+        # state 2 is twice the limit, so the explored machine's own sums
+        # pass it, and read_text would refuse the dumped file
+        limit = "8.988465674311579e+307"
+        path = tmp_path / "edge.lat"
+        path.write_text(f"0 1 1 -{limit}\n0 2 1 {limit}\n2 4 3 1.0\n"
+                        f"2 5 3 1.0\n4\n5\n")
+        assert run(capsys, "decode", str(path))[0] == 0
+        dump = tmp_path / "dfa.txt"
+        code, out, err = run(capsys, "decode", str(path), "--dump-dfa",
+                             str(dump))
+        assert code == 3
+        assert out == ""
+        assert err == (f"error: cannot write {dump}: path weights sum to "
+                       f"-{limit} .. 1.7976931348623157e+308, beyond "
+                       f"±{limit} (half the float range)\n")
+        assert not dump.exists()
+
     @pytest.mark.parametrize("mode", [(), ("--full",)], ids=["lazy", "full"])
     @pytest.mark.parametrize("encoding", ["log", "real"])
     def test_dumped_machine_decodes_to_the_same_answer(self, capsys, tmp_path,

@@ -73,18 +73,28 @@ class TestEdgeCases:
         assert total_distance(a) == 0.3
 
     def test_cyclic_rejected(self):
-        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (1, 1, 0.5, 0)], {1: 0.0})
-        with pytest.raises(CycleError):
-            backward_distance(a)
+        # the tables need a topological order: a cyclic automaton is
+        # refused where it is built, before any table is asked of it
+        with pytest.raises(CycleError,
+                           match="^cycle detected: arc 1->0 closes a loop$"):
+            Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (1, 1, 0.5, 0)], {1: 0.0})
 
     def test_path_sums_beyond_limit_rejected(self):
-        # validate() refuses this automaton, so no table may hold its nan
-        a = Automaton(LOG, 4, 0, [(0, 1, -1e308, 1), (1, 1, -1e308, 2),
-                                  (0, 1, 5.0, 3)], {2: 0.0, 3: 0.0})
-        for table in (total_distance, forward_distance, backward_distance,
+        # the forward sum into state 2 is -inf, and the backward tables
+        # would hold nan: the automaton is refused where it is built. At a
+        # quarter of the weights the same arcs are in range, with finite
+        # tables
+        arcs = [(0, 1, -1e308, 1), (1, 1, -1e308, 2), (0, 1, 5.0, 3)]
+        with pytest.raises(ValueError,
+                           match=r"^path weights sum to -inf \.\. 5\.0, beyond"):
+            Automaton(LOG, 4, 0, arcs, {2: 0.0, 3: 0.0})
+        half = Automaton(LOG, 4, 0, [(source, label, weight / 4, target)
+                                     for source, label, weight, target in arcs],
+                         {2: 0.0, 3: 0.0})
+        for table in (forward_distance, backward_distance,
                       lambda a: backward_distance(a, "string")):
-            with pytest.raises(ValueError, match="path weights sum to"):
-                table(a)
+            assert all(map(math.isfinite, table(half)))
+        assert total_distance(half) == -5e307
 
     def test_unknown_view(self, e1):
         with pytest.raises(ValueError):
@@ -93,9 +103,10 @@ class TestEdgeCases:
             forward_distance(e1, "string")
 
     def test_string_view_cyclic_rejected(self):
-        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (1, 1, 0.5, 0)], {1: 0.0})
-        with pytest.raises(CycleError):
-            backward_distance(a, "string")
+        # a self-loop is a cycle too, and is refused before any table
+        with pytest.raises(CycleError,
+                           match="^cycle detected: arc 1->1 closes a loop$"):
+            Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (1, 2, 0.5, 1)], {1: 0.0})
 
 
 class TestProperties:

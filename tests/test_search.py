@@ -5,13 +5,14 @@ from collections import Counter
 
 import pytest
 
-from shortstring import (Automaton, BudgetExceededError, DfaCache,
-                         EmptyLanguageError, LOG, LatticeSpec, REAL,
+from shortstring import (Automaton, BudgetExceededError, CycleError,
+                         DfaCache, EmptyLanguageError, LOG, LatticeSpec, REAL,
                          approx_eq, backward_distance, enumerate_strings,
                          generate, heuristic_audit, oracle_shortest_path,
                          oracle_shortest_string, shortest_string,
-                         shortest_string_via_full_determinization, validate)
+                         shortest_string_via_full_determinization)
 from shortstring import search as search_module
+from shortstring.automaton import SUM_LIMIT
 from shortstring.search import _Path
 
 from conftest import SIGMA_AB, random_dag, small_instance, to_real
@@ -207,8 +208,9 @@ class TestSmallCases:
 
 
 class TestContract:
-    """Every decoder and the oracle refuse what :func:`validate` rejects,
-    and every arc list ends in one documented way."""
+    """No decoder nor the oracle is handed what :func:`validate` rejects,
+    as :class:`Automaton` refuses to build it, and every arc list ends in
+    one documented way."""
 
     @pytest.mark.parametrize("entry", [
         shortest_string, shortest_string_via_full_determinization,
@@ -216,23 +218,28 @@ class TestContract:
         oracle_shortest_path])
     def test_overflowing_path_sums_refused(self, entry):
         # string 1 3 weighs about 1e308, but the residual of state 2
-        # overflowed: built in code, the lazy search reported a false "no
+        # overflowed: handed to them, the lazy search reported a false "no
         # accepting path", the full one a false "accepts no string", the
-        # audit reported "ok", and the oracle answered ((1, 3), 1e308)
-        a = Automaton(LOG, 6, 0, [(0, 1, -1e308, 1), (0, 1, 1e308, 2),
-                                  (2, 3, 1.0, 4), (2, 3, 1.0, 5)],
-                      {4: 0.0, 5: 0.0})
-        with pytest.raises(ValueError) as report:
-            validate(a)
+        # audit reported "ok", and the oracle answered ((1, 3), 1e308).
+        # The automaton is refused where it is built; scaled into range,
+        # the same shape reaches the entry point and is not refused
+        def shape(big):
+            return Automaton(LOG, 6, 0, [(0, 1, -big, 1), (0, 1, big, 2),
+                                         (2, 3, 1.0, 4), (2, 3, 1.0, 5)],
+                             {4: 0.0, 5: 0.0})
         with pytest.raises(ValueError) as info:
-            entry(a)
-        assert str(info.value) == str(report.value)
+            entry(shape(1e308))
+        assert str(info.value) == (
+            f"path weights sum to -1e+308 .. 1e+308, beyond ±{SUM_LIMIT!r} "
+            f"(half the float range)")
         assert not isinstance(info.value, EmptyLanguageError)
+        result = entry(shape(1e307))
+        assert getattr(result, "ok", True)
 
     def test_cycle_refused(self):
-        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (1, 1, 0.5, 0)], {1: 0.0})
-        with pytest.raises(ValueError, match="^cycle detected"):
-            shortest_string(a)
+        with pytest.raises(CycleError,
+                           match="^cycle detected: arc 1->0 closes a loop$"):
+            Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (1, 1, 0.5, 0)], {1: 0.0})
 
     def test_random_arc_lists(self):
         # states and labels are ints, so a state field draws its extremes
@@ -242,7 +249,7 @@ class TestContract:
         started = time.perf_counter()
         outcomes = Counter(_contract_outcome(rng) for _ in range(2000))
         assert time.perf_counter() - started <= 5.0
-        assert set(outcomes) == {"construct", "validate", "match", "empty"}
+        assert set(outcomes) == {"arc", "graph", "match", "empty"}
         assert min(outcomes.values()) >= 100, outcomes
 
 
@@ -270,17 +277,15 @@ def _contract_outcome(rng) -> str:
                      weight(), state(target)))
     finals = {state(q): weight() for q in range(n) if rng.random() < 0.4}
     case = (n, arcs, finals)
+    # the constructor refuses an arc or final entry, or else the graph:
+    # a cycle, or path sums beyond the limit
     try:
         a = Automaton(LOG, n, 0, arcs, finals)
-    except ValueError:
-        return "construct"
-    try:
-        validate(a)
-    except ValueError as report:
-        with pytest.raises(ValueError) as info:
-            DfaCache(a)
-        assert str(info.value) == str(report), case
-        return "validate"
+    except CycleError:
+        return "graph"
+    except ValueError as exc:
+        return ("graph" if str(exc).startswith("path weights sum to ")
+                else "arc")
     results = []
     for decode in (shortest_string, shortest_string_via_full_determinization,
                    oracle_shortest_string):
@@ -704,6 +709,5 @@ class TestHeuristicAudit:
                     for q in range(base.num_states)
                     for label, weight, target in base.arcs(q)]
             a = Automaton(LOG, base.num_states, 0, arcs, dict(base.finals))
-            validate(a)
             assert heuristic_audit(a).ok, seed
             assert shortest_string(a).stats.order_violations == 0, seed
