@@ -180,6 +180,11 @@ def _cmd_decode(args) -> int:
             print(json.dumps(exc.stats.as_dict()), file=sys.stderr)
         return (EXIT_EMPTY if isinstance(exc, EmptyLanguageError)
                 else EXIT_BUDGET)
+    except ValueError as exc:
+        # only --full raises one: materialize refuses the whole machine
+        print(f"error: --full: the determinized machine, not {args.input}, "
+              f"leaves the float range: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if args.dump_dfa:
         # write_text refuses a weight that would not read back as an arc
         try:

@@ -164,7 +164,9 @@ def materialize(cache: DfaCache) -> Automaton:
     """The explored part of the determinized automaton as a plain
     :class:`Automaton` whose state ids are the cache handles. Arcs come
     only from already-expanded handles; run ``full_expand`` first for the
-    complete machine."""
+    complete machine. Raises :class:`ValueError` when the machine's path
+    sums pass ``SUM_LIMIT``, which the source's may not: a residual can be
+    the difference of two source sums."""
     arcs = []
     for handle in range(cache.num_states):
         if cache.is_expanded(handle):

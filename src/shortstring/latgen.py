@@ -1,4 +1,5 @@
-"""Synthetic lattice generation and the decode benchmark harness.
+"""Synthetic lattice generation and the sweep that counts the subsets a
+lazy decode visits against the subsets of the whole determinized machine.
 
 Generated lattices mimic recognizer output: a layered, confusion-network
 style graph where every position offers several scored alternatives, with
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 import statistics
-import time
 from dataclasses import astuple, dataclass, fields
 
 from .automaton import Automaton
@@ -100,26 +100,22 @@ class BenchRow:
     nfa_states: int
     dfa_states: int | None = None
     visited_states: int | None = None
-    wall_time_us: int | None = None
     status: str = "ok"
 
 
 def measure_instance(a, *, state_budget: int | None = None) -> tuple:
-    """Measure one automaton: exhaustive determinized state count, subsets
-    visited by the lazy decode (super-final pop included), and the wall
-    time of the lazy decode in microseconds (``a`` was validated when it
-    was built). The lazy decode runs and is timed first; the exhaustive
-    count expands the rest of its cache, and is None when it would pass
-    ``state_budget``, which the lazy decode alone must fit."""
-    started = time.perf_counter()
+    """Measure one automaton: exhaustive determinized state count and
+    subsets visited by the lazy decode (super-final pop included). The
+    lazy decode runs first; the exhaustive count expands the rest of its
+    cache, and is None when it would pass ``state_budget``, which the lazy
+    decode alone must fit."""
     cache = DfaCache(a, state_budget)
-    result = shortest_string(a, cache=cache)
-    wall_time_us = int((time.perf_counter() - started) * 1e6)
+    visited = shortest_string(a, cache=cache).stats.popped
     try:
         dfa_states = cache.full_expand()
     except BudgetExceededError:
         dfa_states = None
-    return dfa_states, result.stats.popped, wall_time_us
+    return dfa_states, visited
 
 
 def bench_run(specs, *, state_budget: int | None = None) -> list:
@@ -132,8 +128,8 @@ def bench_run(specs, *, state_budget: int | None = None) -> list:
         row = BenchRow(seed=spec.seed, depth=spec.depth, width=spec.width,
                        vocab=spec.vocab, nfa_states=a.num_states)
         try:
-            row.dfa_states, row.visited_states, row.wall_time_us = \
-                measure_instance(a, state_budget=state_budget)
+            row.dfa_states, row.visited_states = measure_instance(
+                a, state_budget=state_budget)
         except BudgetExceededError:
             row.status = "budget"
         rows.append(row)

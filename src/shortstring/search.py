@@ -149,7 +149,9 @@ def shortest_string_via_full_determinization(
     """Baseline variant: determinize exhaustively first, compute the
     determinized machine's own backward table, then run the same search
     with that table as the heuristic. Returns the same string and weight
-    as :func:`shortest_string` at strictly more determinization work."""
+    as :func:`shortest_string`, for at least as much determinization work.
+    Raises what :func:`shortest_string` raises, and :class:`ValueError`
+    when :func:`.materialize` refuses the determinized machine."""
     return _astar(a, cache,
                   lambda cache: _dfa_table(cache, "base").__getitem__, on_pop)
 
@@ -389,7 +391,8 @@ def heuristic_audit(a: Automaton, *,
     arc or the final hop (consistency).
     A heuristic over a bound x by more than the :func:`rounding` margin
     that the search's dominance and pop-order checks use is reported;
-    small instances only.
+    small instances only. Raises :class:`ValueError` when
+    :func:`.materialize` refuses the determinized machine.
     """
     cache = DfaCache(a, state_budget)
     margin = rounding(a)

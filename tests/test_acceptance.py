@@ -285,19 +285,8 @@ def test_c9_cli_determinism(tmp_path, capsys):
     decode_same = run(*decode_args) == run(*decode_args)
     gen_same = run(*gen_args) == run(*gen_args)
 
-    def scrub_wall_time(result):
-        code, out = result
-        rows = []
-        for line in out.splitlines():
-            fields = line.split(",")
-            if len(fields) > 7:
-                fields[7] = "?"
-            rows.append(",".join(fields))
-        return code, rows
-
-    bench_same = (scrub_wall_time(run(*bench_args))
-                  == scrub_wall_time(run(*bench_args)))
+    bench_same = run(*bench_args) == run(*bench_args)
     ok = decode_same and gen_same and bench_same
     _criterion("C9", ok,
                f"byte-identical reruns: decode={decode_same}, "
-               f"gen={gen_same}, bench={bench_same} (wall time excluded)")
+               f"gen={gen_same}, bench={bench_same}")

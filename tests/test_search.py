@@ -236,6 +236,24 @@ class TestContract:
         result = entry(shape(1e307))
         assert getattr(result, "ok", True)
 
+    @pytest.mark.parametrize("entry", [
+        shortest_string_via_full_determinization, heuristic_audit])
+    def test_determinized_sums_past_the_limit_refused(self, entry):
+        # the source's path sums reach -SUM_LIMIT and SUM_LIMIT, so it is
+        # built, and the lazy search decodes it; but state 2's residual is
+        # their difference, and materialize refuses the machine that the
+        # baseline and the audit build
+        a = Automaton(LOG, 6, 0, [(0, 1, -SUM_LIMIT, 1), (0, 1, SUM_LIMIT, 2),
+                                  (2, 3, 1.0, 4), (2, 3, 1.0, 5)],
+                      {4: 0.0, 5: 0.0})
+        assert shortest_string(a).labels == (1, 3)
+        with pytest.raises(ValueError) as info:
+            entry(a)
+        assert str(info.value) == (
+            f"path weights sum to {-SUM_LIMIT!r} .. {2 * SUM_LIMIT!r}, "
+            f"beyond ±{SUM_LIMIT!r} (half the float range)")
+        assert not isinstance(info.value, EmptyLanguageError)
+
     def test_cycle_refused(self):
         with pytest.raises(CycleError,
                            match="^cycle detected: arc 1->0 closes a loop$"):
