@@ -26,7 +26,7 @@ import heapq
 import sys
 from bisect import bisect_left
 from itertools import repeat
-from operator import itemgetter, lt
+from operator import lt
 from types import MappingProxyType
 from typing import Iterable, Iterator
 
@@ -37,13 +37,6 @@ from .semiring import INF, ZERO, Encoding, members
 # validate() bounds path sums by half the largest float in magnitude, so
 # that their differences (residuals) are finite too
 SUM_LIMIT = sys.float_info.max / 2
-
-
-# Arcs come as (source, label, weight, target) tuples. Sorting them as
-# (source, label, target, weight) rows groups them by source and orders
-# each state's arcs; one transpose of the sorted rows gives the columns
-# that are checked, and the stored arcs are their (label, weight, target).
-_ROW = itemgetter(0, 1, 3, 2)
 
 
 class Automaton:
@@ -75,11 +68,23 @@ class Automaton:
         if not 0 <= initial < num_states:
             raise ValueError(f"initial state {initial} out of range")
         arcs = list(arcs)
-        # an arc of another width would be cut short, or fail, in _ROW
-        if not set(map(len, arcs)) <= {4}:
-            raise ValueError(_first_offence(num_states, arcs, finals))
-        rows = sorted(map(_ROW, arcs))
-        sources, labels, targets, weights = tuple(zip(*rows)) or ((),) * 4
+        # One transpose of the (source, label, weight, target) arcs gives
+        # the columns; an arc of another width fails it, or makes more or
+        # fewer than four. Sorted as (source, label, target, weight)
+        # rows, the columns group the arcs by source and order each
+        # state's arcs. Rows already in that order, as write_text writes
+        # them when state 0 is initial, are one run to the sort and keep
+        # their columns without a second transpose.
+        try:
+            sources, labels, weights, targets = (
+                tuple(zip(*arcs, strict=True)) if arcs else ((),) * 4)
+        except ValueError:
+            raise ValueError(_first_offence(num_states, arcs, finals)) from None
+        rows = list(zip(sources, labels, targets, weights))
+        ordered = sorted(rows)
+        if ordered != rows:
+            rows = ordered
+            sources, labels, targets, weights = zip(*rows)
         # low and high bound _magnitude; high is +inf when an arc weighs zero
         low = min(weights, default=0.0)
         high = max(weights, default=0.0)

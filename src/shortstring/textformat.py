@@ -20,10 +20,15 @@ weight is a member of the encoding (it converts to a ``-ln`` weight, see
 probability below the float range) and no state has two final weights;
 the states are 0 up to the largest id. Otherwise it raises
 :class:`ParseError` for the first bad record in file order, with its line
-number. Records are converted and checked a column at a time, a block of
-lines at a time. Each check is stated once, in the column readers: when
-a block fails, its lines are read again one at a time through the same
-readers, and the first that fails on its own is the bad record.
+number. A block of lines at a time, the records are transposed once into
+columns, which are converted and checked whole. Sources, targets and
+final states share one id space: each distinct id text of a block is
+converted once, and the three columns are looked up from those values.
+Each check is stated once, in the column readers: when a block fails,
+its lines are read again one at a time through the same readers, and
+the first that fails on its own is the bad record; a failing id is
+worded by reading its columns one at a time, sources first, then
+targets, then final states.
 :func:`write_text` writes an :class:`.automaton.Automaton` back in the
 format, and refuses a weight whose written value :func:`read_text` would
 refuse or read as no arc.
@@ -81,7 +86,7 @@ class SymbolTable:
             if len(fields) != 2:
                 raise ParseError("expected 'token id'", lineno)
             try:
-                (label,) = _int_column((fields,), 1, "symbol id")
+                (label,) = _int_column((fields[1],), "symbol id")
                 table.add(fields[0], label)
             except ValueError as exc:   # ParseError is one too
                 raise ParseError(str(exc), lineno) from None
@@ -109,16 +114,13 @@ def read_text(text: str, encoding: Encoding,
     record."""
     lines = text.splitlines()
     has_comments = "#" in text
-    first = next((fields for fields in map(str.split, lines)
-                  if fields and fields[0][0] != "#"), None)
-    if first is None:
-        raise ParseError("no records found")
     arcs, finals = [], {}
+    initial = None
     max_state = 0
     for start in range(0, len(lines), _BLOCK):
         block = lines[start:start + _BLOCK]
         try:
-            block_arcs, block_finals, block_max = _read_block(
+            block_arcs, block_finals, block_max, first = _read_block(
                 block, has_comments, encoding, symbols, finals)
         except ParseError:
             # reread the block a line at a time: the first line that fails
@@ -133,7 +135,11 @@ def read_text(text: str, encoding: Encoding,
         arcs += block_arcs
         finals.update(block_finals)
         max_state = max(max_state, block_max)
-    return Automaton(encoding, max_state + 1, int(first[0]), arcs, finals)
+        if initial is None:
+            initial = first
+    if initial is None:
+        raise ParseError("no records found")
+    return Automaton(encoding, max_state + 1, initial, arcs, finals)
 
 
 def write_text(a: Automaton, symbols: Optional[SymbolTable] = None) -> str:
@@ -180,7 +186,8 @@ def write_text(a: Automaton, symbols: Optional[SymbolTable] = None) -> str:
 
 
 def _read_block(lines, has_comments, encoding, symbols, finals) -> tuple:
-    """Arcs, final weights and the largest state id of the records in
+    """Arcs, final weights, the largest state id and the first record's
+    state id (``None`` when the block holds no record) of the records in
     ``lines``; a state that is final in ``finals`` may not be final
     again. A :class:`ParseError` is worded from the block's first record
     that the failing check reads, which is the bad record when the block
@@ -195,55 +202,81 @@ def _read_block(lines, has_comments, encoding, symbols, finals) -> tuple:
     arc_records = list(compress(records, map(_ARC_SIZES.__contains__, sizes)))
     final_records = list(compress(records,
                                   map(_FINAL_SIZES.__contains__, sizes)))
-    sources = _int_column(arc_records, 0, "source state")
-    targets = _int_column(arc_records, 1, "target state")
-    arcs = list(zip(sources, _label_column(arc_records, symbols),
-                    _weight_column(arc_records, 4, sizes.count(3), encoding),
-                    targets))
-    states = _int_column(final_records, 0, "state")
-    fresh = dict(zip(states, _weight_column(final_records, 2, sizes.count(1),
-                                            encoding)))
+    # the records' fields a column each; zip stops at the shortest
+    # record, so the last column is the weights only when every record
+    # carries one
+    arc_columns = list(zip(*arc_records)) or [()] * 3
+    final_columns = list(zip(*final_records)) or [()]
+    sources, targets, label_texts = arc_columns[:3]
+    states = final_columns[0]
+    ids = _id_map((sources, "source state"), (targets, "target state"),
+                  (states, "state"))
+    id_of = ids.__getitem__
+    arcs = list(zip(map(id_of, sources), _label_column(label_texts, symbols),
+                    _weight_column(arc_records, arc_columns, 4, encoding),
+                    map(id_of, targets)))
+    fresh = dict(zip(map(id_of, states),
+                     _weight_column(final_records, final_columns, 2,
+                                    encoding)))
     if len(fresh) < len(states) or not finals.keys().isdisjoint(fresh):
-        raise ParseError(f"duplicate final weight for state {states[0]}")
-    max_state = max(max(sources, default=0), max(targets, default=0),
-                    max(states, default=0))
-    return arcs, fresh, max_state
+        raise ParseError(f"duplicate final weight for state "
+                         f"{id_of(states[0])}")
+    first = next(filter(None, records), None)
+    initial = None if first is None else id_of(first[0])
+    return arcs, fresh, max(ids.values(), default=0), initial
 
 
-def _int_column(rows, field: int, what: str) -> list:
+def _id_map(*columns) -> dict:
+    # sources, targets and final states share one id space, so each
+    # distinct text of the (column, what) pairs is converted once
+    texts = set().union(*(fields for fields, _ in columns))
+    try:
+        value_of = dict(zip(texts, map(int, texts)))
+        if min(value_of.values(), default=0) >= 0:
+            return value_of
+    except ValueError:
+        pass
+    # worded by the first column that fails on its own
+    for fields, what in columns:
+        _int_column(fields, what)
+    raise RuntimeError("an id column failed that passes on its own")
+
+
+def _int_column(fields, what: str) -> list:
     # non-negative integers; ids repeat, so each distinct text is
     # converted once
-    fields = list(map(itemgetter(field), rows))
     try:
         value_of = {text: int(text) for text in set(fields)}
     except ValueError:
-        raise ParseError(f"bad {what} {rows[0][field]!r}") from None
+        raise ParseError(f"bad {what} {fields[0]!r}") from None
     if min(value_of.values(), default=0) < 0:
-        raise ParseError(f"negative {what} {rows[0][field]!r}")
+        raise ParseError(f"negative {what} {fields[0]!r}")
     return list(map(value_of.__getitem__, fields))
 
 
-def _label_column(rows, symbols: Optional[SymbolTable]) -> list:
+def _label_column(fields, symbols: Optional[SymbolTable]) -> list:
     if symbols is None:
-        labels = _int_column(rows, 2, "label")
+        labels = _int_column(fields, "label")
     else:
         try:
-            labels = list(map(symbols.label, map(itemgetter(2), rows)))
+            labels = list(map(symbols.label, fields))
         except KeyError:
-            raise ParseError(f"unknown token {rows[0][2]!r}") from None
+            raise ParseError(f"unknown token {fields[0]!r}") from None
     if 0 in labels:
         raise ParseError("label 0 is reserved for epsilon")
     return labels
 
 
-def _weight_column(rows, width: int, unweighted: int,
-                   encoding: Encoding) -> list:
-    # rows of `width` fields end in a weight; the `unweighted` shorter
-    # ones weigh one
-    if unweighted:
+def _weight_column(rows, columns, width: int, encoding: Encoding) -> list:
+    # rows of `width` fields end in a weight and the shorter ones weigh
+    # one; `columns`, the rows transposed, ends in the weights when every
+    # row has one
+    weighted = None
+    if len(columns) == width:
+        fields = columns[-1]
+    else:
         weighted = list(map(width.__eq__, map(len, rows)))
-        rows = list(compress(rows, weighted))
-    fields = list(map(itemgetter(width - 1), rows))
+        fields = list(map(itemgetter(width - 1), compress(rows, weighted)))
     try:
         written = list(map(float, fields))
     except ValueError:
@@ -260,7 +293,7 @@ def _weight_column(rows, width: int, unweighted: int,
             if weight == INF and value == 0.0 and _nonzero(text):
                 raise ParseError(f"weight {fields[0]!r} is below the float "
                                  f"range and would read as zero")
-    if unweighted:
+    if weighted is not None:
         given = iter(weights)
         weights = [next(given) if has else ONE for has in weighted]
     return weights

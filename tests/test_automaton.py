@@ -60,6 +60,13 @@ class TestConstruction:
     def test_parallel_arcs_kept(self):
         a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (0, 1, 0.5, 1)], {1: 0.0})
         assert a.num_arcs() == 2
+        # parallel arcs are stored lightest first, however they arrive
+        descending = [(0, 1, 0.9, 1), (0, 1, 0.5, 1), (0, 1, INF, 1),
+                      (0, 1, 0.2, 1)]
+        for arcs in (descending, sorted(descending, key=lambda arc: arc[2])):
+            a = Automaton(LOG, 2, 0, arcs, {1: 0.0})
+            assert a.arcs(0) == ((1, 0.2, 1), (1, 0.5, 1), (1, 0.9, 1))
+            assert (a.pruned_arcs, a.min_arc_weight) == (1, 0.2)
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -264,13 +271,31 @@ class TestArcOrder:
         assert topological_order(b) == list(range(b.num_states))
 
     def test_shuffled_input(self):
+        # arcs that arrive out of the canonical (source, label, target,
+        # weight) order build what the same arcs build in that order
+        def built(arcs):
+            a = Automaton(LOG, 10, 0, arcs, {})
+            assert [a.arcs(q) for q in range(10)] == sorted_per_state(10, arcs)
+            return ([a.arcs(q) for q in range(10)], a.pruned_arcs,
+                    a.min_arc_weight, topological_order(a))
+
         rng = random.Random(3)
+        swaps = 0
         for seed in range(25):
             arcs = list(random_dag(seed, LOG).all_arcs())
             arcs += arcs[:3]           # parallel duplicates
-            rng.shuffle(arcs)
-            a = Automaton(LOG, 10, 0, arcs, {})
-            assert [a.arcs(q) for q in range(10)] == sorted_per_state(10, arcs)
+            # parallel arcs whose weights descend, and zero-weight arcs
+            arcs += [(s, label, w + d, t) for s, label, w, t in arcs[-2:]
+                     for d in (2.0, 1.0)]
+            arcs += [(s, label, INF, t) for s, label, _, t in arcs[::4]]
+            canonical = sorted(arcs, key=lambda arc: (arc[:2], arc[3], arc[2]))
+            swapped = canonical[:-2] + canonical[:-3:-1]
+            swaps += swapped != canonical
+            shuffled = rng.sample(arcs, len(arcs))
+            expected = built(canonical)
+            for given in (arcs, swapped, shuffled):
+                assert built(given) == expected
+        assert swaps >= 20
 
 
 
