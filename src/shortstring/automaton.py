@@ -9,9 +9,10 @@ tuples sorted by (label, target, weight), so that subset expansion and
 weight summation are deterministic.
 
 The acceptor contract is checked once, where an :class:`Automaton` is
-built: each arc and final entry, then, through :func:`validate`, what
-needs the whole graph, cycles and path sums. The first violation
-raises, so every automaton that exists is valid, and no decoder checks
+built: the per-record rules on whole columns, then, through
+:func:`validate`, what needs the whole graph, cycles and path sums. A
+failed column check is worded by checking each record alone with the
+same rules. Every automaton that exists is valid, and no decoder checks
 again. Arcs and final weights of zero are dropped and counted.
 :func:`topological_order` puts the smallest ready state first; for an
 automaton whose arcs all go from a smaller to a larger state id, as in
@@ -57,8 +58,8 @@ class Automaton:
     entry, dropped ones included, must have its states in
     ``0 .. num_states - 1``, a label of at least 1 and a ``-ln`` weight
     (a real or ``+inf``, as :func:`.semiring.members` judges), or
-    :class:`ValueError` names the first offender in input order, arcs
-    first. The graph must then pass :func:`validate`.
+    :class:`ValueError` names the first record in input order, arcs
+    first, that fails alone. The graph must then pass :func:`validate`.
     """
 
     def __init__(self, encoding: Encoding, num_states: int, initial: int,
@@ -78,28 +79,28 @@ class Automaton:
         try:
             sources, labels, weights, targets = (
                 tuple(zip(*arcs, strict=True)) if arcs else ((),) * 4)
+            rows = list(zip(sources, labels, targets, weights))
+            ordered = sorted(rows)
+            if ordered != rows:
+                rows = ordered
+                sources, labels, targets, weights = zip(*rows)
+            _check(num_states, sources, labels, weights, targets, finals)
         except ValueError:
-            raise ValueError(_first_offence(num_states, arcs, finals)) from None
-        rows = list(zip(sources, labels, targets, weights))
-        ordered = sorted(rows)
-        if ordered != rows:
-            rows = ordered
-            sources, labels, targets, weights = zip(*rows)
+            # the first record, arcs before finals, that fails alone is named
+            try:
+                for arc in arcs:
+                    if len(arc) != 4:
+                        raise ValueError(f"arc {arc!r} is not a (source, "
+                                         f"label, weight, target) tuple")
+                    _check(num_states, *zip(arc), {})
+                for state, weight in finals.items():
+                    _check(num_states, (), (), (), (), {state: weight})
+            except ValueError as offence:
+                raise offence from None
+            raise
         # low and high bound _magnitude; high is +inf when an arc weighs zero
         low = min(weights, default=0.0)
         high = max(weights, default=0.0)
-        # the columns are checked whole; _first_offence only words a
-        # failure. Sorted by source, the first and last sources are the
-        # extremes.
-        if not ((not rows or 0 <= sources[0] and sources[-1] < num_states)
-                and min(targets, default=0) >= 0
-                and max(targets, default=0) < num_states
-                and min(labels, default=1) > 0
-                and members(weights)
-                and min(finals, default=0) >= 0
-                and max(finals, default=0) < num_states
-                and members(finals.values())):
-            raise ValueError(_first_offence(num_states, arcs, finals))
         if high == ZERO:
             rows = [row for row in rows if row[3] != ZERO]
             sources, labels, targets, weights = tuple(zip(*rows)) or ((),) * 4
@@ -143,31 +144,33 @@ class Automaton:
                 f"arcs={self.num_arcs()}, finals={len(self._finals)})")
 
 
-def _first_offence(num_states: int, arcs: list, finals: dict) -> str:
-    # words the first arc, or else final entry, that Automaton refuses
-    for arc in arcs:
-        if len(arc) != 4:
-            return (f"arc {arc!r} is not a (source, label, weight, target) "
-                    f"tuple")
-        source, label, weight, target = arc
-        if not 0 <= source < num_states:
-            return f"arc source {source} out of range"
-        if label == 0:
-            return f"epsilon arc {source}->{target} (label 0 is reserved)"
-        if label < 0:
-            return f"negative label {label} on arc {source}->{target}"
-        if not 0 <= target < num_states:
-            return f"arc target {target} out of range on arc from {source}"
-        if not members((weight,)):
-            return (f"arc weight {weight!r} on {source}->{target} is not "
-                    f"a member of the log semiring")
-    for state, weight in finals.items():
-        if not 0 <= state < num_states:
-            return f"final state {state} out of range"
-        if not members((weight,)):
-            return (f"final weight {weight!r} of state {state} is not "
-                    f"a member of the log semiring")
-    raise RuntimeError("a column check failed on arcs and finals that pass")
+def _check(num_states: int, sources, labels, weights, targets,
+           finals: dict) -> None:
+    # the rules on arc columns sorted by source, then on final entries,
+    # worded from the failing column's first entry (a lone record's own)
+    if sources and not (0 <= sources[0] and sources[-1] < num_states):
+        raise ValueError(f"arc source {sources[0]} out of range")
+    if not min(labels, default=1) > 0:
+        if labels[0] == 0:
+            raise ValueError(f"epsilon arc {sources[0]}->{targets[0]} "
+                             f"(label 0 is reserved)")
+        raise ValueError(f"negative label {labels[0]} on arc "
+                         f"{sources[0]}->{targets[0]}")
+    if not (min(targets, default=0) >= 0
+            and max(targets, default=0) < num_states):
+        raise ValueError(f"arc target {targets[0]} out of range on arc "
+                         f"from {sources[0]}")
+    if not members(weights):
+        raise ValueError(f"arc weight {weights[0]!r} on "
+                         f"{sources[0]}->{targets[0]} is not a member of "
+                         f"the log semiring")
+    if not (min(finals, default=0) >= 0
+            and max(finals, default=0) < num_states):
+        raise ValueError(f"final state {next(iter(finals))} out of range")
+    if not members(finals.values()):
+        state, weight = next(iter(finals.items()))
+        raise ValueError(f"final weight {weight!r} of state {state} is not "
+                         f"a member of the log semiring")
 
 
 def validate(a: Automaton) -> None:

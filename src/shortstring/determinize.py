@@ -45,6 +45,9 @@ class DfaCache:
         self._subsets = []      # handle -> tuple[(state, residual), ...]
         self._index = {}        # pairs -> handle
         self._arcs = {}         # handle -> tuple[(label, weight, target handle), ...]
+        self._rho = [ZERO] * automaton.num_states   # state -> final weight
+        for state, weight in automaton.finals.items():
+            self._rho[state] = weight
         self._intern(((automaton.initial, ONE),))
 
     def start(self) -> int:
@@ -103,23 +106,10 @@ class DfaCache:
         return result
 
     def final_weight(self, handle: int) -> float:
-        """Semiring sum of residual times member final weight; zero when no
-        member is final. Not memoized: the search asks once per subset.
-
-        Few subsets have a final member, so the common cases are cheap: a
-        lone member costs one lookup, and a subset with no final member
-        returns zero without forming a sum."""
-        finals = self.automaton.finals
-        subset = self._subsets[handle]
-        if len(subset) == 1:
-            state, residual = subset[0]
-            return residual + finals.get(state, ZERO)
-        for state, _ in subset:
-            if state in finals:
-                return log_sum([residual + finals[state]
-                                for state, residual in subset
-                                if state in finals])
-        return ZERO
+        """Final weight of a subset: the sum :meth:`heuristic` forms, taken
+        against the members' final weights (zero for a state that is not
+        final). Not memoized: the search asks once per subset."""
+        return _weigh(self._subsets[handle], self._rho)
 
     def heuristic(self, handle: int, backward: tuple) -> float:
         """Remaining-mass estimate of a subset: the semiring sum of residual
@@ -132,12 +122,7 @@ class DfaCache:
         log-sum of its arcs with that label into their targets' values:
         the ``"string"`` view the search uses, or the looser ``"base"``
         view (see :mod:`.distance`)."""
-        subset = self._subsets[handle]
-        if len(subset) == 1:
-            state, residual = subset[0]
-            return residual + backward[state]
-        return log_sum([residual + backward[state]
-                        for state, residual in subset])
+        return _weigh(self._subsets[handle], backward)
 
     def full_expand(self) -> int:
         """Expand every reachable subset; returns the determinized state
@@ -160,6 +145,15 @@ class DfaCache:
         return handle
 
 
+def _weigh(subset: tuple, table) -> float:
+    # the semiring sum of residual times the member's value in a table
+    # indexed by state; a lone member's needs no log_sum
+    if len(subset) == 1:
+        state, residual = subset[0]
+        return residual + table[state]
+    return log_sum([residual + table[state] for state, residual in subset])
+
+
 def materialize(cache: DfaCache) -> Automaton:
     """The explored part of the determinized automaton as a plain
     :class:`Automaton` whose state ids are the cache handles. Arcs come
@@ -168,12 +162,10 @@ def materialize(cache: DfaCache) -> Automaton:
     sums pass ``SUM_LIMIT``, which the source's may not: a residual can be
     the difference of two source sums."""
     arcs = []
-    for handle in range(cache.num_states):
-        if cache.is_expanded(handle):
-            for label, weight, target in cache.expand(handle):
-                arcs.append((handle, label, weight, target))
     finals = {}
     for handle in range(cache.num_states):
+        if cache.is_expanded(handle):
+            arcs += [(handle, *arc) for arc in cache.expand(handle)]
         weight = cache.final_weight(handle)
         if weight != ZERO:
             finals[handle] = weight

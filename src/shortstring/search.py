@@ -263,17 +263,15 @@ def _astar(a: Automaton, cache: DfaCache | None,
         # member states -> the forward masses (gscore + residual, per
         # member) of the expanded subsets over them
         fronts = {}
-        h = []          # handle -> heuristic
-        best_g = []     # handle -> best gscore pushed, or _CLOSED
-        for handle in range(cache.num_states):
-            h_new = heuristic(handle)
-            h.append(h_new)
-            best_g.append(_CLOSED if h_new == ZERO else ZERO)
-        root = cache.start()
+        root = cache.start()    # handle 0
+        # per handle, the heuristic and the best gscore pushed, or
+        # _CLOSED; the root's are set here, and every other handle's
+        # after the expansion that first meets it
+        h = [heuristic(root)]
+        best_g = [ONE]
         # the heuristic never overestimates, so zero at the root: no string
         if h[root] == ZERO:
             raise EmptyLanguageError("the automaton accepts no string")
-        best_g[root] = ONE
         # entry: (fscore, string length, prefix path, last label, push
         # count, handle | None, gscore). The path node is made only when
         # an entry is expanded or is the goal, and the root's (None, None)

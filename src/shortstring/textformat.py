@@ -8,6 +8,8 @@ One record per line:
 Weights are written in the file's encoding: ``-ln p`` for ``log``,
 probabilities for ``real``. The initial state is the source field of the
 first record. Blank lines and lines starting with ``#`` are ignored.
+Lines end at ``"\n"`` only; the other breaks of :meth:`str.splitlines`,
+such as a form feed, are whitespace, so a comment that holds one is one.
 Labels are integers unless a symbol table maps tokens to integers. A
 symbol table file holds lines of ``token id``, each id a non-negative
 integer.
@@ -26,9 +28,9 @@ final states share one id space: each distinct id text of a block is
 converted once, and the three columns are looked up from those values.
 Each check is stated once, in the column readers: when a block fails,
 its lines are read again one at a time through the same readers, and
-the first that fails on its own is the bad record; a failing id is
-worded by reading its columns one at a time, sources first, then
-targets, then final states.
+the first that fails on its own is the bad record. The id rule is
+stated once, in ``_int_values``; a failing id is worded by reading its
+columns one at a time, sources first, then targets, then final states.
 :func:`write_text` writes an :class:`.automaton.Automaton` back in the
 format, and refuses a weight whose written value :func:`read_text` would
 refuse or read as no arc.
@@ -78,7 +80,7 @@ class SymbolTable:
     @classmethod
     def from_text(cls, text: str) -> "SymbolTable":
         table = cls()
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(text.split("\n"), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -112,7 +114,7 @@ def read_text(text: str, encoding: Encoding,
     Raises :class:`ParseError` for the first bad record in file order,
     with its line number, and without one for a text that holds no
     record."""
-    lines = text.splitlines()
+    lines = text.split("\n")
     has_comments = "#" in text
     arcs, finals = [], {}
     initial = None
@@ -228,30 +230,32 @@ def _read_block(lines, has_comments, encoding, symbols, finals) -> tuple:
 
 def _id_map(*columns) -> dict:
     # sources, targets and final states share one id space, so each
-    # distinct text of the (column, what) pairs is converted once
-    texts = set().union(*(fields for fields, _ in columns))
+    # distinct text of the (column, what) pairs is converted once; a
+    # failure is worded by the first column that fails on its own
     try:
-        value_of = dict(zip(texts, map(int, texts)))
-        if min(value_of.values(), default=0) >= 0:
-            return value_of
-    except ValueError:
-        pass
-    # worded by the first column that fails on its own
-    for fields, what in columns:
-        _int_column(fields, what)
-    raise RuntimeError("an id column failed that passes on its own")
+        return _int_values(set().union(*(fields for fields, _ in columns)),
+                           "state")
+    except ParseError:
+        for fields, what in columns:
+            _int_column(fields, what)
+        raise
 
 
 def _int_column(fields, what: str) -> list:
-    # non-negative integers; ids repeat, so each distinct text is
-    # converted once
+    # ids repeat, so each distinct text is converted once
+    return list(map(_int_values(set(fields), what).__getitem__, fields))
+
+
+def _int_values(texts, what: str) -> dict:
+    # the set's texts mapped to their non-negative int values: the one id
+    # rule, worded from a text of the set, so shown only for a set of one
     try:
-        value_of = {text: int(text) for text in set(fields)}
+        value_of = dict(zip(texts, map(int, texts)))
     except ValueError:
-        raise ParseError(f"bad {what} {fields[0]!r}") from None
+        raise ParseError(f"bad {what} {next(iter(texts))!r}") from None
     if min(value_of.values(), default=0) < 0:
-        raise ParseError(f"negative {what} {fields[0]!r}")
-    return list(map(value_of.__getitem__, fields))
+        raise ParseError(f"negative {what} {next(iter(texts))!r}")
+    return value_of
 
 
 def _label_column(fields, symbols: Optional[SymbolTable]) -> list:

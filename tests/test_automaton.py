@@ -15,6 +15,9 @@ from conftest import (E1_ARCS, E1_SYMBOLS_TEXT, E1_TEXT, make_e1, random_dag,
 
 INF = math.inf
 NAN = math.nan
+# the characters other than "\n" and "\r" that str.splitlines() breaks at
+OTHER_LINE_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                     "\u2029")
 
 
 class TestConstruction:
@@ -114,11 +117,74 @@ class TestConstruction:
          "tuple"),
         ([(0, 0, 0.5, 1), (0, 1, 0.5)], {},
          "epsilon arc 0->1 (label 0 is reserved)"),
+        # a label that is not above 0, NaN too, fails the label rule
+        ([(0, NAN, 0.5, 1)], {}, "negative label nan on arc 0->1"),
     ])
     def test_first_offender_named(self, arcs, finals, message):
         with pytest.raises(ValueError) as info:
             Automaton(LOG, 3, 0, arcs, finals)
         assert str(info.value) == message
+
+    def test_refusal_names_first_record_failing_alone(self):
+        # a seeded corpus of arc and final lists, about one record in five
+        # broken, in shuffled order: the automaton is refused exactly when
+        # some record is refused alone, and with that first record's
+        # message, arcs before finals
+        rng = random.Random(26)
+        arc_faults = (
+            lambda s, lab, w, t, n: (rng.choice((-1, n)), lab, w, t),
+            lambda s, lab, w, t, n: (s, lab, w, rng.choice((-1, n, n + 3))),
+            lambda s, lab, w, t, n: (s, rng.choice((0, -1, -7)), w, t),
+            lambda s, lab, w, t, n: (s, lab, rng.choice((NAN, -INF)), t),
+            lambda s, lab, w, t, n: (s, lab, w),
+            lambda s, lab, w, t, n: (s, lab, w, t, 1),
+        )
+        refused = 0
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            arcs = []
+            for _ in range(rng.randint(0, 8)):
+                s = rng.randrange(n - 1)
+                arc = (s, rng.randint(1, 3),
+                       rng.choice((rng.uniform(-2.0, 5.0), INF)),
+                       rng.randint(s + 1, n - 1))
+                if rng.random() < 0.2:
+                    arc = rng.choice(arc_faults)(*arc, n)
+                arcs.append(arc)
+            rng.shuffle(arcs)
+            finals = {}
+            for _ in range(rng.randint(0, 3)):
+                state, weight = rng.randrange(n), rng.uniform(-1.0, 3.0)
+                if rng.random() < 0.2:
+                    if rng.random() < 0.5:
+                        state = rng.choice((-1, n, n + 2))
+                    else:
+                        weight = rng.choice((NAN, -INF))
+                finals[state] = weight
+            alone = [([arc], {}) for arc in arcs]
+            alone += [([], {q: w}) for q, w in finals.items()]
+            expected = next(filter(None, (_refusal(n, *record)
+                                          for record in alone)), None)
+            if expected is None:
+                Automaton(LOG, n, 0, arcs, finals)
+                continue
+            refused += 1
+            with pytest.raises(ValueError) as info:
+                Automaton(LOG, n, 0, arcs, finals)
+            assert str(info.value) == expected, (arcs, finals)
+            # no chained context appears in a traceback
+            assert (info.value.__context__ is None
+                    or info.value.__suppress_context__)
+        assert 50 < refused < 250
+
+
+def _refusal(num_states, arcs, finals):
+    # the message Automaton() refuses the records with, or None
+    try:
+        Automaton(LOG, num_states, 0, arcs, finals)
+    except ValueError as error:
+        return str(error)
+    return None
 
 
 class TestTopologicalOrder:
@@ -405,6 +471,26 @@ class TestReadText:
     def test_comments_and_blank_lines(self):
         a = read_text("# header\n\n0 1 5 0.5\n# mid\n1 0.0\n", LOG)
         assert a.num_arcs() == 1
+
+    @pytest.mark.parametrize("separator", OTHER_LINE_BREAKS, ids=ascii)
+    def test_lines_end_at_newline_only(self, separator):
+        # str.splitlines() would break the comment in two and read its
+        # second half as a record
+        text = f"0 1 1 0.5\n# page{separator}break 2 3\n1 0\n"
+        a = read_text(text, LOG)
+        assert list(a.all_arcs()) == [(0, 1, 0.5, 1)]
+        assert dict(a.finals) == {1: 0.0}
+        with pytest.raises(ParseError) as info:
+            read_text(text.replace("1 0\n", "1 x\n"), LOG)
+        assert info.value.line == 3
+        # between fields, the separator is whitespace
+        a = read_text(f"0 1 1{separator}0.5\n1 0\n", LOG)
+        assert list(a.all_arcs()) == [(0, 1, 0.5, 1)]
+
+    def test_carriage_return_is_whitespace(self):
+        a = read_text("# crlf\r\n0 1 1 0.5\r\n\r\n1 0\r\n", LOG)
+        assert list(a.all_arcs()) == [(0, 1, 0.5, 1)]
+        assert dict(a.finals) == {1: 0.0}
 
     def test_initial_is_first_record_source(self):
         a = read_text("3 1 5 0.5\n1 0.0\n", LOG)
@@ -718,6 +804,14 @@ class TestSymbolTable:
     def test_bad_field_count(self):
         with pytest.raises(ParseError):
             SymbolTable.from_text("a\n")
+
+    @pytest.mark.parametrize("separator", OTHER_LINE_BREAKS, ids=ascii)
+    def test_lines_end_at_newline_only(self, separator):
+        table = SymbolTable.from_text(f"# tokens{separator}c 3\na 1\n")
+        assert table.to_text() == "a 1\n"
+        with pytest.raises(ParseError) as info:
+            SymbolTable.from_text(f"# x{separator}c 3\na 1\nb\n")
+        assert info.value.line == 3
 
     def test_comments_and_blank_lines_skipped(self):
         table = SymbolTable.from_text("# tokens\n\na 1\n   \n  # b 9\nb 2\n")

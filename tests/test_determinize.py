@@ -1,12 +1,14 @@
 import math
+import random
 
 import pytest
 
-from shortstring import (Automaton, BudgetExceededError, DfaCache, LOG,
+from shortstring import (Automaton, BudgetExceededError, DfaCache, LOG, REAL,
                          approx_eq, backward_distance, enumerate_strings,
                          log_sum, materialize, read_text, write_text)
 
-from conftest import D_A, D_B, E1_TOTAL, LN2, small_instance, to_real
+from conftest import (D_A, D_B, E1_TOTAL, LN2, random_dag, small_instance,
+                      to_real)
 
 INF = math.inf
 
@@ -198,6 +200,43 @@ class TestHeuristicAgainstMaterializedDfa:
             for handle in range(count):
                 assert approx_eq(cache.heuristic(handle, beta_n),
                                  direct[handle], 1e-9)
+
+
+class TestFinalWeightBits:
+    def test_old_formula_bit_for_bit(self):
+        # final_weight sums over every member against per-state final
+        # weights, +inf where a state is not final; the sum over the final
+        # members alone, as it was formed before, must keep its bits
+        counts = [0] * 4    # subsets with 0, 1, 2 and 3 or more final members
+        rng = random.Random(26)
+        lattices = [random_dag(seed, encoding) for seed in range(40)
+                    for encoding in (LOG, REAL)]
+        lattices += [lattice for seed in range(20)
+                     for lattice in (small_instance(seed),
+                                     to_real(small_instance(seed)))]
+        for a in lattices:
+            cache = DfaCache(a, 2000)
+            cache.full_expand()
+            # subsets no expansion built, so that most states can be final
+            # members at once
+            for _ in range(5):
+                states = rng.sample(range(a.num_states),
+                                    rng.randint(1, a.num_states))
+                cache._intern(tuple((q, rng.uniform(-2.0, 3.0))
+                                    for q in sorted(states)))
+            expected = {}
+            for handle in range(cache.num_states):
+                terms = [residual + a.finals[state]
+                         for state, residual in cache.subset(handle)
+                         if state in a.finals]
+                counts[min(len(terms), 3)] += 1
+                weight = log_sum(terms)
+                assert cache.final_weight(handle).hex() == weight.hex()
+                if weight != INF:
+                    expected[handle] = weight.hex()
+            finals = materialize(cache).finals
+            assert {q: w.hex() for q, w in finals.items()} == expected
+        assert min(counts) > 50, counts
 
 
 class TestMaterialize:

@@ -24,7 +24,7 @@ INF = math.inf
 def reference_read(text, encoding, symbols=None):
     """The automaton ``text`` describes, read a record at a time."""
     initial, arcs, finals = None, [], {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
             continue
