@@ -2,14 +2,17 @@
 
 An :class:`Automaton` is a single-initial-state, epsilon-free acceptor whose
 weights are ``-ln`` weights of the log semiring (see :mod:`.semiring`),
-tagged with the encoding they are read and written in. States are dense
-non-negative integers; label 0 is reserved for epsilon and never appears
-on a stored arc. A state's arcs are plain ``(label, weight, target)``
-tuples sorted by (label, target, weight), so that subset expansion and
-weight summation are deterministic.
+tagged with the encoding they are read and written in. It is built
+from four parallel arc columns, ``(sources, labels, weights, targets)``,
+and a map of final weights, which it reads without keeping a copy past
+their use. States are dense non-negative ints; label 0 is reserved for
+epsilon and never appears on a stored arc. A state's arcs are plain
+``(label, weight, target)`` tuples sorted by (label, target, weight), so
+that subset expansion and weight summation are deterministic.
 
 The acceptor contract is checked once, where an :class:`Automaton` is
-built: the per-record rules on whole columns, then, through
+built: the per-record rules on whole columns, among them that states and
+labels are ints, then, through
 :func:`validate`, what needs the whole graph, cycles and path sums. A
 failed column check is worded by checking each record alone with the
 same rules. Every automaton that exists is valid, and no decoder checks
@@ -26,10 +29,10 @@ from __future__ import annotations
 import heapq
 import sys
 from bisect import bisect_left
-from itertools import repeat
-from operator import lt
+from itertools import compress, islice, repeat
+from operator import le, lt, ne
 from types import MappingProxyType
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import CycleError
 from .semiring import INF, ZERO, Encoding, members
@@ -43,56 +46,72 @@ SUM_LIMIT = sys.float_info.max / 2
 class Automaton:
     """Immutable weighted acceptor.
 
-    ``arcs`` is an iterable of ``(source, label, weight, target)`` tuples and
-    ``finals`` maps state to final weight; states and labels are ints and
-    weights floats, stored as given. Weights are ``-ln`` weights
-    whatever the ``encoding``, which only says how the automaton's weights
-    are written and shown; build from probabilities with ``REAL.to_log``
-    or :func:`.textformat.read_text`. Arcs and final entries whose weight
+    ``arcs`` is four parallel sequences, ``(sources, labels, weights,
+    targets)``, whose ``i``-th entries are one arc, and ``finals`` maps
+    state to final weight; states and labels are ints and weights floats,
+    stored as given. Weights are ``-ln`` weights whatever the
+    ``encoding``, which only says how the automaton's weights are written
+    and shown; build from probabilities with ``REAL.to_log`` or
+    :func:`.textformat.read_text`. Arcs and final entries whose weight
     equals the semiring zero (``+inf``) denote absence and are silently
     dropped; the drop counts are kept in ``pruned_arcs`` /
     ``pruned_finals``, and ``min_arc_weight`` is the smallest weight of
-    a kept arc (``0.0`` when none is kept).
+    a kept arc (``0.0`` when none is kept). The columns are read, not
+    kept: the automaton holds its own per-state arc tuples.
 
-    Every arc must have those four fields, and every arc and final
-    entry, dropped ones included, must have its states in
-    ``0 .. num_states - 1``, a label of at least 1 and a ``-ln`` weight
-    (a real or ``+inf``, as :func:`.semiring.members` judges), or
-    :class:`ValueError` names the first record in input order, arcs
-    first, that fails alone. The graph must then pass :func:`validate`.
+    The state count and initial state must be ints, the count at least 1
+    and the initial state below it. There must be four arc columns of
+    one length, and every arc and final entry, dropped ones included,
+    must have int states in ``0 .. num_states - 1``, an int label of at
+    least 1 and a ``-ln`` weight (a real or ``+inf``, as
+    :func:`.semiring.members` judges), or :class:`ValueError` names the
+    first record in input order, arcs first, that fails alone. Columns
+    of unequal length are refused after the arcs they make and before
+    the final entries. The graph must then pass :func:`validate`.
     """
 
     def __init__(self, encoding: Encoding, num_states: int, initial: int,
-                 arcs: Iterable[tuple], finals: dict):
+                 arcs, finals: dict):
+        if not _ints((num_states,)):
+            raise ValueError(f"state count {num_states!r} is not an int")
         if num_states < 1:
             raise ValueError("an automaton needs at least one state")
+        if not _ints((initial,)):
+            raise ValueError(f"initial state {initial!r} is not an int")
         if not 0 <= initial < num_states:
             raise ValueError(f"initial state {initial} out of range")
-        arcs = list(arcs)
-        # One transpose of the (source, label, weight, target) arcs gives
-        # the columns; an arc of another width fails it, or makes more or
-        # fewer than four. Sorted as (source, label, target, weight)
-        # rows, the columns group the arcs by source and order each
-        # state's arcs. Rows already in that order, as write_text writes
-        # them when state 0 is initial, are one run to the sort and keep
-        # their columns without a second transpose.
         try:
-            sources, labels, weights, targets = (
-                tuple(zip(*arcs, strict=True)) if arcs else ((),) * 4)
-            rows = list(zip(sources, labels, targets, weights))
-            ordered = sorted(rows)
-            if ordered != rows:
-                rows = ordered
+            columns = sources, labels, weights, targets = arcs
+            lengths = tuple(map(len, columns))
+            uneven = min(lengths) < max(lengths)
+        except (TypeError, ValueError):
+            raise ValueError("arcs must be four columns: sources, labels, "
+                             "weights, targets") from None
+        # As (source, label, target, weight) rows in order, the columns
+        # group the arcs by source and order each state's arcs. Columns
+        # already in that order, as read_text and generate give them, are
+        # read as they are, confirmed by one comparison per row; others
+        # are sorted as rows and transposed back, and the rows dropped.
+        try:
+            if uneven:
+                raise ValueError("arc columns of unequal length")
+            if not all(map(le, zip(sources, labels, targets, weights),
+                           islice(zip(sources, labels, targets, weights),
+                                  1, None))):
+                rows = sorted(zip(sources, labels, targets, weights))
                 sources, labels, targets, weights = zip(*rows)
+                del rows
             _check(num_states, sources, labels, weights, targets, finals)
-        except ValueError:
-            # the first record, arcs before finals, that fails alone is named
+        except (TypeError, ValueError):
+            # the first record, arcs before finals, that fails alone is
+            # named; a value that is not an int can fail the sort instead
             try:
-                for arc in arcs:
-                    if len(arc) != 4:
-                        raise ValueError(f"arc {arc!r} is not a (source, "
-                                         f"label, weight, target) tuple")
+                for arc in zip(*columns):
                     _check(num_states, *zip(arc), {})
+                if uneven:
+                    raise ValueError(
+                        "arc columns differ in length (sources {}, labels "
+                        "{}, weights {}, targets {})".format(*lengths))
                 for state, weight in finals.items():
                     _check(num_states, (), (), (), (), {state: weight})
             except ValueError as offence:
@@ -102,22 +121,24 @@ class Automaton:
         low = min(weights, default=0.0)
         high = max(weights, default=0.0)
         if high == ZERO:
-            rows = [row for row in rows if row[3] != ZERO]
-            sources, labels, targets, weights = tuple(zip(*rows)) or ((),) * 4
+            present = list(map(ne, weights, repeat(ZERO)))
+            sources, labels, weights, targets = (
+                list(compress(column, present))
+                for column in (sources, labels, weights, targets))
             high = max(weights, default=0.0)
-        flat = tuple(zip(labels, weights, targets))
         # sorted by source, state q's arcs start at its first row
         bounds = list(map(bisect_left, repeat(sources),
                           range(num_states + 1)))
+        flat = tuple(zip(labels, weights, targets))
         kept = dict(sorted(finals.items()))
         if ZERO in kept.values():
             kept = {q: w for q, w in kept.items() if w != ZERO}
         self.encoding = encoding
         self.num_states = num_states
         self.initial = initial
-        self.pruned_arcs = len(arcs) - len(rows)
+        self.pruned_arcs = lengths[0] - len(sources)
         self.pruned_finals = len(finals) - len(kept)
-        self.min_arc_weight = low if rows else 0.0
+        self.min_arc_weight = low if sources else 0.0
         self._arcs = tuple(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
         self._finals = kept
         self.finals = MappingProxyType(kept)
@@ -148,14 +169,22 @@ def _check(num_states: int, sources, labels, weights, targets,
            finals: dict) -> None:
     # the rules on arc columns sorted by source, then on final entries,
     # worded from the failing column's first entry (a lone record's own)
+    if not _ints(sources):
+        raise ValueError(f"arc source {sources[0]!r} is not an int")
     if sources and not (0 <= sources[0] and sources[-1] < num_states):
         raise ValueError(f"arc source {sources[0]} out of range")
+    if not _ints(labels):
+        raise ValueError(f"label {labels[0]!r} on arc "
+                         f"{sources[0]}->{targets[0]} is not an int")
     if not min(labels, default=1) > 0:
         if labels[0] == 0:
             raise ValueError(f"epsilon arc {sources[0]}->{targets[0]} "
                              f"(label 0 is reserved)")
         raise ValueError(f"negative label {labels[0]} on arc "
                          f"{sources[0]}->{targets[0]}")
+    if not _ints(targets):
+        raise ValueError(f"arc target {targets[0]!r} on arc from "
+                         f"{sources[0]} is not an int")
     if not (min(targets, default=0) >= 0
             and max(targets, default=0) < num_states):
         raise ValueError(f"arc target {targets[0]} out of range on arc "
@@ -164,6 +193,8 @@ def _check(num_states: int, sources, labels, weights, targets,
         raise ValueError(f"arc weight {weights[0]!r} on "
                          f"{sources[0]}->{targets[0]} is not a member of "
                          f"the log semiring")
+    if not _ints(finals):
+        raise ValueError(f"final state {next(iter(finals))!r} is not an int")
     if not (min(finals, default=0) >= 0
             and max(finals, default=0) < num_states):
         raise ValueError(f"final state {next(iter(finals))} out of range")
@@ -171,6 +202,16 @@ def _check(num_states: int, sources, labels, weights, targets,
         state, weight = next(iter(finals.items()))
         raise ValueError(f"final weight {weight!r} of state {state} is not "
                          f"a member of the log semiring")
+
+
+def _ints(values) -> bool:
+    # whether every value is an int, in one pass: ints sum to an int,
+    # while a float (NaN too) or another number makes the sum another
+    # type, and a value that is no number cannot be added
+    try:
+        return type(sum(values)) is int
+    except TypeError:
+        return False
 
 
 def validate(a: Automaton) -> None:

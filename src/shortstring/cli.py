@@ -159,6 +159,9 @@ def _cmd_decode(args) -> int:
     except ValueError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    # the automaton holds all the search needs; the file text goes before
+    # the search's own peak
+    del text
     if args.print_distances:
         alpha = forward_distance(automaton)
         beta = backward_distance(automaton)

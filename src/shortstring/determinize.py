@@ -161,13 +161,17 @@ def materialize(cache: DfaCache) -> Automaton:
     complete machine. Raises :class:`ValueError` when the machine's path
     sums pass ``SUM_LIMIT``, which the source's may not: a residual can be
     the difference of two source sums."""
-    arcs = []
+    sources, labels, weights, targets = [], [], [], []
     finals = {}
     for handle in range(cache.num_states):
         if cache.is_expanded(handle):
-            arcs += [(handle, *arc) for arc in cache.expand(handle)]
+            arcs = cache.expand(handle)
+            sources += [handle] * len(arcs)
+            labels += [label for label, _, _ in arcs]
+            weights += [weight for _, weight, _ in arcs]
+            targets += [target for _, _, target in arcs]
         weight = cache.final_weight(handle)
         if weight != ZERO:
             finals[handle] = weight
     return Automaton(cache.automaton.encoding, cache.num_states, cache.start(),
-                     arcs, finals)
+                     (sources, labels, weights, targets), finals)

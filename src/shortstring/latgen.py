@@ -58,21 +58,20 @@ def generate(spec: LatticeSpec) -> Automaton:
     rng = random.Random(spec.seed)
     width = spec.width
     num_states = 1 + spec.depth * width
-    arcs = []
+    sources, labels, weights, targets = [], [], [], []
     for layer in range(spec.depth):
         if layer == 0:
-            sources = [0]
+            layer_sources = [0]
         else:
             base = 1 + (layer - 1) * width
-            sources = range(base, base + width)
+            layer_sources = range(base, base + width)
         target_base = 1 + layer * width
         # one label per position slot, shared by every source of the layer:
         # alternatives at a position are the same candidates whatever the
         # history, as in recognizer output, and equal slot labels (forced
         # when width exceeds vocab) are what make the lattice nondeterministic
         slot_labels = [rng.randint(1, spec.vocab) for _ in range(width)]
-        for source in sources:
-            targets = []
+        for source in layer_sources:
             for slot in range(width):
                 if rng.random() < spec.merge_prob:
                     targets.append(target_base + rng.randrange(width))
@@ -84,11 +83,12 @@ def generate(spec: LatticeSpec) -> Automaton:
                 raise ValueError(f"skew {spec.skew:g} underflows an arc "
                                  f"mass to zero")
             total = math.fsum(masses)
-            for slot in range(width):
-                arcs.append((source, slot_labels[slot],
-                             -math.log(masses[slot] / total), targets[slot]))
+            sources += [source] * width
+            labels += slot_labels
+            weights += [-math.log(mass / total) for mass in masses]
     finals = {q: ONE for q in range(num_states - width, num_states)}
-    return Automaton(LOG, num_states, 0, arcs, finals)
+    return Automaton(LOG, num_states, 0, (sources, labels, weights, targets),
+                     finals)
 
 
 @dataclass

@@ -31,6 +31,9 @@ its lines are read again one at a time through the same readers, and
 the first that fails on its own is the bad record. The id rule is
 stated once, in ``_int_values``; a failing id is worded by reading its
 columns one at a time, sources first, then targets, then final states.
+The blocks' arc columns, ``(sources, labels, weights, targets)``, are
+joined and passed to :class:`.automaton.Automaton` as they are, once the
+split lines are dropped, so no copy of the text's data outlives its use.
 :func:`write_text` writes an :class:`.automaton.Automaton` back in the
 format, and refuses a weight whose written value :func:`read_text` would
 refuse or read as no arc.
@@ -116,13 +119,14 @@ def read_text(text: str, encoding: Encoding,
     record."""
     lines = text.split("\n")
     has_comments = "#" in text
-    arcs, finals = [], {}
+    columns = ([], [], [], [])     # sources, labels, weights, targets
+    finals = {}
     initial = None
     max_state = 0
     for start in range(0, len(lines), _BLOCK):
         block = lines[start:start + _BLOCK]
         try:
-            block_arcs, block_finals, block_max, first = _read_block(
+            block_columns, block_finals, block_max, first = _read_block(
                 block, has_comments, encoding, symbols, finals)
         except ParseError:
             # reread the block a line at a time: the first line that fails
@@ -134,14 +138,18 @@ def read_text(text: str, encoding: Encoding,
                 except ParseError as exc:
                     raise ParseError(str(exc), lineno) from None
             raise   # each check is per record, so a line has failed above
-        arcs += block_arcs
+        for column, part in zip(columns, block_columns):
+            column += part
         finals.update(block_finals)
         max_state = max(max_state, block_max)
         if initial is None:
             initial = first
+    # the split lines are not needed past here: drop them before the
+    # automaton is built
+    del lines, block
     if initial is None:
         raise ParseError("no records found")
-    return Automaton(encoding, max_state + 1, initial, arcs, finals)
+    return Automaton(encoding, max_state + 1, initial, columns, finals)
 
 
 def write_text(a: Automaton, symbols: Optional[SymbolTable] = None) -> str:
@@ -188,8 +196,9 @@ def write_text(a: Automaton, symbols: Optional[SymbolTable] = None) -> str:
 
 
 def _read_block(lines, has_comments, encoding, symbols, finals) -> tuple:
-    """Arcs, final weights, the largest state id and the first record's
-    state id (``None`` when the block holds no record) of the records in
+    """The arc columns ``(sources, labels, weights, targets)``, final
+    weights, the largest state id and the first record's state id
+    (``None`` when the block holds no record) of the records in
     ``lines``; a state that is final in ``finals`` may not be final
     again. A :class:`ParseError` is worded from the block's first record
     that the failing check reads, which is the bad record when the block
@@ -214,9 +223,9 @@ def _read_block(lines, has_comments, encoding, symbols, finals) -> tuple:
     ids = _id_map((sources, "source state"), (targets, "target state"),
                   (states, "state"))
     id_of = ids.__getitem__
-    arcs = list(zip(map(id_of, sources), _label_column(label_texts, symbols),
-                    _weight_column(arc_records, arc_columns, 4, encoding),
-                    map(id_of, targets)))
+    arcs = (list(map(id_of, sources)), _label_column(label_texts, symbols),
+            _weight_column(arc_records, arc_columns, 4, encoding),
+            list(map(id_of, targets)))
     fresh = dict(zip(map(id_of, states),
                      _weight_column(final_records, final_columns, 2,
                                     encoding)))

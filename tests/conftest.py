@@ -40,6 +40,14 @@ E1_ARCS = [
     (0, C, 0.9, 3),
 ]
 
+
+def arc_columns(arcs):
+    """The ``(sources, labels, weights, targets)`` columns that
+    ``Automaton()`` takes, from ``(source, label, weight, target)`` arc
+    tuples in their order."""
+    return tuple(map(list, zip(*arcs))) or ([], [], [], [])
+
+
 E1_TEXT = """\
 0 1 a 0.5
 0 2 a 0.5
@@ -58,7 +66,7 @@ c 3
 
 
 def make_e1():
-    return Automaton(LOG, 4, 0, E1_ARCS, {3: 0.0})
+    return Automaton(LOG, 4, 0, arc_columns(E1_ARCS), {3: 0.0})
 
 
 @pytest.fixture
@@ -79,7 +87,8 @@ def small_instance(seed):
 def to_real(a):
     """The same automaton as read from a file of probabilities e^-w: written
     and parsed back through the real encoding."""
-    real = Automaton(REAL, a.num_states, a.initial, a.all_arcs(), dict(a.finals))
+    real = Automaton(REAL, a.num_states, a.initial, arc_columns(a.all_arcs()),
+                     dict(a.finals))
     return read_text(write_text(real), REAL)
 
 
@@ -104,4 +113,4 @@ def random_dag(seed, semiring):
         if rng.random() < 0.35:
             finals[q] = semiring.to_log(rng.uniform(0.0, 4.0) if semiring is LOG
                                         else rng.uniform(1e-6, 1.5))
-    return Automaton(semiring, n, 0, arcs, finals)
+    return Automaton(semiring, n, 0, arc_columns(arcs), finals)

@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,8 +11,8 @@ from shortstring import (Automaton, CycleError, LOG, LatticeSpec,
 
 from shortstring.automaton import SUM_LIMIT
 
-from conftest import (E1_ARCS, E1_SYMBOLS_TEXT, E1_TEXT, make_e1, random_dag,
-                      small_instance, to_real)
+from conftest import (E1_ARCS, E1_SYMBOLS_TEXT, E1_TEXT, arc_columns, make_e1,
+                      random_dag, small_instance, to_real)
 
 INF = math.inf
 NAN = math.nan
@@ -37,7 +38,8 @@ class TestConstruction:
 
     def test_zero_weight_arcs_and_finals_pruned(self):
         a = Automaton(LOG, 3, 0,
-                      [(0, 1, 0.5, 1), (0, 1, INF, 2), (1, 1, INF, 2)],
+                      arc_columns([(0, 1, 0.5, 1), (0, 1, INF, 2),
+                                   (1, 1, INF, 2)]),
                       {1: 0.0, 2: INF})
         assert a.num_arcs() == 1
         assert a.pruned_arcs == 2
@@ -47,11 +49,12 @@ class TestConstruction:
 
     def test_min_arc_weight(self):
         finals = {1: -7.0}
-        assert Automaton(LOG, 2, 0, [(0, 1, -2.5, 1), (0, 2, 3.0, 1)],
+        assert Automaton(LOG, 2, 0, ([0, 0], [1, 2], [-2.5, 3.0], [1, 1]),
                          finals).min_arc_weight == -2.5
         # no arc kept: no arc weighs anything below zero
-        assert Automaton(LOG, 2, 0, [], finals).min_arc_weight == 0.0
-        assert Automaton(LOG, 2, 0, [(0, 1, INF, 1)],
+        assert Automaton(LOG, 2, 0, ([], [], [], []),
+                         finals).min_arc_weight == 0.0
+        assert Automaton(LOG, 2, 0, ([0], [1], [INF], [1]),
                          finals).min_arc_weight == 0.0
 
     def test_finals_is_a_read_only_view_built_once(self, e1):
@@ -61,64 +64,84 @@ class TestConstruction:
             e1.finals[0] = 0.0
 
     def test_parallel_arcs_kept(self):
-        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (0, 1, 0.5, 1)], {1: 0.0})
+        a = Automaton(LOG, 2, 0, arc_columns([(0, 1, 0.5, 1), (0, 1, 0.5, 1)]),
+                      {1: 0.0})
         assert a.num_arcs() == 2
         # parallel arcs are stored lightest first, however they arrive
         descending = [(0, 1, 0.9, 1), (0, 1, 0.5, 1), (0, 1, INF, 1),
                       (0, 1, 0.2, 1)]
         for arcs in (descending, sorted(descending, key=lambda arc: arc[2])):
-            a = Automaton(LOG, 2, 0, arcs, {1: 0.0})
+            a = Automaton(LOG, 2, 0, arc_columns(arcs), {1: 0.0})
             assert a.arcs(0) == ((1, 0.2, 1), (1, 0.5, 1), (1, 0.9, 1))
             assert (a.pruned_arcs, a.min_arc_weight) == (1, 0.2)
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
-            Automaton(LOG, 0, 0, [], {})
+            Automaton(LOG, 0, 0, ([], [], [], []), {})
         with pytest.raises(ValueError):
-            Automaton(LOG, 2, 5, [], {})
+            Automaton(LOG, 2, 5, ([], [], [], []), {})
         with pytest.raises(ValueError):
-            Automaton(LOG, 2, 0, [(7, 1, 0.5, 1)], {})
+            Automaton(LOG, 2, 0, ([7], [1], [0.5], [1]), {})
+        # the state count and the initial state are ints too
+        with pytest.raises(ValueError) as info:
+            Automaton(LOG, 2.0, 0, ([0], [1], [0.5], [1]), {1: 0.0})
+        assert str(info.value) == "state count 2.0 is not an int"
+        with pytest.raises(ValueError) as info:
+            Automaton(LOG, 2, 0.0, ([0], [1], [0.5], [1]), {1: 0.0})
+        assert str(info.value) == "initial state 0.0 is not an int"
 
     @pytest.mark.parametrize("arcs, finals, message", [
-        ([(0, -2, 0.5, 1)], {}, "negative label -2 on arc 0->1"),
-        ([(0, 1, 0.5, 5)], {}, "arc target 5 out of range on arc from 0"),
-        ([(0, 1, 0.5, -1)], {}, "arc target -1 out of range on arc from 0"),
-        ([(0, 1, NAN, 1)], {},
+        (([0], [-2], [0.5], [1]), {}, "negative label -2 on arc 0->1"),
+        (([0], [1], [0.5], [5]), {}, "arc target 5 out of range on arc from 0"),
+        (([0], [1], [0.5], [-1]), {},
+         "arc target -1 out of range on arc from 0"),
+        (([0], [1], [NAN], [1]), {},
          "arc weight nan on 0->1 is not a member of the log semiring"),
-        ([(0, 1, -INF, 1)], {},
+        (([0], [1], [-INF], [1]), {},
          "arc weight -inf on 0->1 is not a member of the log semiring"),
-        ([], {2: NAN},
+        (([], [], [], []), {2: NAN},
          "final weight nan of state 2 is not a member of the log semiring"),
-        ([], {7: 0.0}, "final state 7 out of range"),
+        (([], [], [], []), {7: 0.0}, "final state 7 out of range"),
         # a dropped arc or final entry is checked too
-        ([(0, 1, INF, 3)], {}, "arc target 3 out of range on arc from 0"),
-        ([], {-1: INF}, "final state -1 out of range"),
+        (([0], [1], [INF], [3]), {}, "arc target 3 out of range on arc from 0"),
+        (([], [], [], []), {-1: INF}, "final state -1 out of range"),
         # the first offender in input order, arcs before finals, is named;
         # within an arc, source, label, target and weight are checked in
         # that order
-        ([(0, 1, 0.5, 1), (0, 0, NAN, 5), (1, 1, -INF, 2), (0, -2, NAN, 5)],
+        (([0, 0, 1, 0], [1, 0, 1, -2], [0.5, NAN, -INF, NAN], [1, 5, 2, 5]),
          {2: NAN, 7: 0.0}, "epsilon arc 0->5 (label 0 is reserved)"),
-        ([(0, 1, 0.5, 1), (1, 2, NAN, 9)], {7: 0.0},
+        (([0, 1], [1, 2], [0.5, NAN], [1, 9]), {7: 0.0},
          "arc target 9 out of range on arc from 1"),
-        ([(1, 1, -INF, 2)], {2: NAN, 7: 0.0},
+        (([1], [1], [-INF], [2]), {2: NAN, 7: 0.0},
          "arc weight -inf on 1->2 is not a member of the log semiring"),
-        ([(3, 0, 0.5, 1)], {}, "arc source 3 out of range"),
-        # an arc must have four fields: one more is not dropped, and one
-        # fewer is worded like any other offence, in input order
-        ([(0, 1, 0.5, 1, "junk"), (1, 2, 0.25, 2)], {2: 0.0},
-         "arc (0, 1, 0.5, 1, 'junk') is not a (source, label, weight, "
-         "target) tuple"),
-        ([(0, 1, 1)], {},
-         "arc (0, 1, 1) is not a (source, label, weight, target) tuple"),
-        ([(0, 1, 0.5, 1), ()], {},
-         "arc () is not a (source, label, weight, target) tuple"),
-        ([(0, 1, 0.5, 1), (1, 2, 0.25, 2, 9), (0, 1, 0.5)], {7: 0.0},
-         "arc (1, 2, 0.25, 2, 9) is not a (source, label, weight, target) "
-         "tuple"),
-        ([(0, 0, 0.5, 1), (0, 1, 0.5)], {},
+        (([3], [0], [0.5], [1]), {}, "arc source 3 out of range"),
+        # there are four columns of one length: a column more or fewer is
+        # refused whole, and columns of unequal length after the arcs
+        # they make, in input order
+        (([0], [1], [0.5], [1], ["junk"]), {2: 0.0},
+         "arcs must be four columns: sources, labels, weights, targets"),
+        (([0], [1], [1]), {},
+         "arcs must be four columns: sources, labels, weights, targets"),
+        (([0, 1], [1, 2], [0.5, 0.25], [1]), {},
+         "arc columns differ in length (sources 2, labels 2, weights 2, "
+         "targets 1)"),
+        (([0, 1, 0], [1, 2, 1], [0.5, 0.25], [1, 2, 2]), {7: 0.0},
+         "arc columns differ in length (sources 3, labels 3, weights 2, "
+         "targets 3)"),
+        (([0, 0], [0, 1], [0.5, 0.5], [1]), {},
          "epsilon arc 0->1 (label 0 is reserved)"),
-        # a label that is not above 0, NaN too, fails the label rule
-        ([(0, NAN, 0.5, 1)], {}, "negative label nan on arc 0->1"),
+        # states and labels are ints: a float, NaN too, or a string is not
+        (([0], [NAN], [0.5], [1]), {}, "label nan on arc 0->1 is not an int"),
+        (([0], [1.5], [0.5], [1]), {}, "label 1.5 on arc 0->1 is not an int"),
+        (([0], ["a"], [0.5], [1]), {}, "label 'a' on arc 0->1 is not an int"),
+        (([0.0], [1], [0.5], [1]), {}, "arc source 0.0 is not an int"),
+        (([0], [1], [0.5], [1.0]), {},
+         "arc target 1.0 on arc from 0 is not an int"),
+        (([], [], [], []), {"2": 0.0}, "final state '2' is not an int"),
+        # a string among ints fails the sort before a rule; the record
+        # is still named
+        (([1, "0"], [1, 1], [0.5, 0.5], [2, 1]), {},
+         "arc source '0' is not an int"),
     ])
     def test_first_offender_named(self, arcs, finals, message):
         with pytest.raises(ValueError) as info:
@@ -126,20 +149,22 @@ class TestConstruction:
         assert str(info.value) == message
 
     def test_refusal_names_first_record_failing_alone(self):
-        # a seeded corpus of arc and final lists, about one record in five
-        # broken, in shuffled order: the automaton is refused exactly when
-        # some record is refused alone, and with that first record's
-        # message, arcs before finals
+        # a seeded corpus of arc columns and final lists, about one record
+        # in five broken, in shuffled order, and now and then a column cut
+        # short: the automaton is refused exactly when some record is
+        # refused alone or the columns differ in length, and with the
+        # first such message, arcs, then the lengths, then finals
         rng = random.Random(26)
         arc_faults = (
             lambda s, lab, w, t, n: (rng.choice((-1, n)), lab, w, t),
             lambda s, lab, w, t, n: (s, lab, w, rng.choice((-1, n, n + 3))),
             lambda s, lab, w, t, n: (s, rng.choice((0, -1, -7)), w, t),
             lambda s, lab, w, t, n: (s, lab, rng.choice((NAN, -INF)), t),
-            lambda s, lab, w, t, n: (s, lab, w),
-            lambda s, lab, w, t, n: (s, lab, w, t, 1),
+            lambda s, lab, w, t, n: (float(s), lab, w, t),
+            lambda s, lab, w, t, n: (s, rng.choice((lab + 0.5, NAN)), w, t),
+            lambda s, lab, w, t, n: (s, lab, w, float(t)),
         )
-        refused = 0
+        refused = uneven = 0
         for _ in range(300):
             n = rng.randint(2, 6)
             arcs = []
@@ -152,34 +177,48 @@ class TestConstruction:
                     arc = rng.choice(arc_faults)(*arc, n)
                 arcs.append(arc)
             rng.shuffle(arcs)
+            columns = arc_columns(arcs)
+            if arcs and rng.random() < 0.1:
+                rng.choice(columns).pop()
             finals = {}
             for _ in range(rng.randint(0, 3)):
                 state, weight = rng.randrange(n), rng.uniform(-1.0, 3.0)
                 if rng.random() < 0.2:
-                    if rng.random() < 0.5:
+                    fault = rng.random()
+                    if fault < 0.4:
                         state = rng.choice((-1, n, n + 2))
+                    elif fault < 0.6:
+                        state = state + 0.5
                     else:
                         weight = rng.choice((NAN, -INF))
                 finals[state] = weight
-            alone = [([arc], {}) for arc in arcs]
-            alone += [([], {q: w}) for q, w in finals.items()]
-            expected = next(filter(None, (_refusal(n, *record)
-                                          for record in alone)), None)
+            lengths = tuple(map(len, columns))
+            refusals = [_refusal(n, arc_columns([arc]), {})
+                        for arc in zip(*columns)]
+            if min(lengths) < max(lengths):
+                uneven += 1
+                refusals.append("arc columns differ in length (sources {}, "
+                                "labels {}, weights {}, targets {})"
+                                .format(*lengths))
+            refusals += [_refusal(n, ([], [], [], []), {q: w})
+                         for q, w in finals.items()]
+            expected = next(filter(None, refusals), None)
             if expected is None:
-                Automaton(LOG, n, 0, arcs, finals)
+                Automaton(LOG, n, 0, columns, finals)
                 continue
             refused += 1
             with pytest.raises(ValueError) as info:
-                Automaton(LOG, n, 0, arcs, finals)
-            assert str(info.value) == expected, (arcs, finals)
+                Automaton(LOG, n, 0, columns, finals)
+            assert str(info.value) == expected, (columns, finals)
             # no chained context appears in a traceback
             assert (info.value.__context__ is None
                     or info.value.__suppress_context__)
-        assert 50 < refused < 250
+        assert 50 < refused < 250 and uneven > 10
 
 
 def _refusal(num_states, arcs, finals):
-    # the message Automaton() refuses the records with, or None
+    # the message Automaton() refuses the arc columns and finals with, or
+    # None
     try:
         Automaton(LOG, num_states, 0, arcs, finals)
     except ValueError as error:
@@ -196,15 +235,16 @@ class TestTopologicalOrder:
             assert position[src] < position[dst]
 
     def test_single_state(self):
-        a = Automaton(LOG, 1, 0, [], {0: 0.0})
+        a = Automaton(LOG, 1, 0, ([], [], [], []), {0: 0.0})
         assert topological_order(a) == [0]
 
     def test_forced_order(self):
-        a = Automaton(LOG, 2, 1, [(1, 1, 0.5, 0)], {0: 0.0})
+        a = Automaton(LOG, 2, 1, ([1], [1], [0.5], [0]), {0: 0.0})
         assert topological_order(a) == [1, 0]
 
     def test_smallest_id_first_among_ready(self):
-        a = Automaton(LOG, 3, 0, [(0, 1, 0.5, 2), (0, 2, 0.5, 1)], {1: 0.0, 2: 0.0})
+        a = Automaton(LOG, 3, 0, arc_columns([(0, 1, 0.5, 2), (0, 2, 0.5, 1)]),
+                      {1: 0.0, 2: 0.0})
         assert topological_order(a) == [0, 1, 2]
 
     def test_cycle_raises_and_names_an_arc(self):
@@ -212,7 +252,8 @@ class TestTopologicalOrder:
         # built; failures are not memoized: every build reports the cycle
         for _ in range(2):
             with pytest.raises(CycleError) as info:
-                Automaton(LOG, 4, 0, E1_ARCS + [(3, 1, 0.1, 0)], {3: 0.0})
+                Automaton(LOG, 4, 0, arc_columns(E1_ARCS + [(3, 1, 0.1, 0)]),
+                          {3: 0.0})
             assert str(info.value) == "cycle detected: arc 3->0 closes a loop"
 
     def test_ids_not_topological(self):
@@ -237,7 +278,7 @@ class TestTopologicalOrder:
             arcs = [(rng.randrange(n), rng.randint(1, 3), 0.5, rng.randrange(n))
                     for _ in range(rng.randint(1, 12))]
             try:
-                Automaton(LOG, n, 0, arcs, {})
+                Automaton(LOG, n, 0, arc_columns(arcs), {})
                 continue
             except CycleError as exc:
                 named = str(exc)
@@ -265,8 +306,8 @@ class TestTopologicalOrder:
             perm = list(range(a.num_states))
             rng.shuffle(perm)
             b = Automaton(LOG, a.num_states, perm[a.initial],
-                          [(perm[s], lab, w, perm[t])
-                           for s, lab, w, t in a.all_arcs()],
+                          arc_columns([(perm[s], lab, w, perm[t])
+                                       for s, lab, w, t in a.all_arcs()]),
                           {perm[q]: w for q, w in a.finals.items()})
             assert topological_order(b) == kahn_order(b)
 
@@ -340,7 +381,7 @@ class TestArcOrder:
         # arcs that arrive out of the canonical (source, label, target,
         # weight) order build what the same arcs build in that order
         def built(arcs):
-            a = Automaton(LOG, 10, 0, arcs, {})
+            a = Automaton(LOG, 10, 0, arc_columns(arcs), {})
             assert [a.arcs(q) for q in range(10)] == sorted_per_state(10, arcs)
             return ([a.arcs(q) for q in range(10)], a.pruned_arcs,
                     a.min_arc_weight, topological_order(a))
@@ -375,42 +416,78 @@ class TestValidate:
 
     def test_cycle_detected(self):
         with pytest.raises(CycleError, match="^cycle detected"):
-            Automaton(LOG, 4, 0, E1_ARCS + [(3, 1, 0.1, 0)], {3: 0.0})
+            Automaton(LOG, 4, 0, arc_columns(E1_ARCS + [(3, 1, 0.1, 0)]),
+                      {3: 0.0})
 
     def test_epsilon_arc_detected(self):
         # built in code, this decoded to the epsilon string (0,)
         with pytest.raises(ValueError, match=r"^epsilon arc 0->1 \(label 0"):
-            Automaton(LOG, 2, 0, [(0, 0, 0.5, 1)], {1: 0.0})
+            Automaton(LOG, 2, 0, ([0], [0], [0.5], [1]), {1: 0.0})
 
     def test_target_out_of_range(self):
         # built in code, this raised IndexError in the search
         with pytest.raises(ValueError,
                            match="^arc target 9 out of range on arc from 0$"):
-            Automaton(LOG, 2, 0, [(0, 1, 0.5, 9)], {1: 0.0})
+            Automaton(LOG, 2, 0, ([0], [1], [0.5], [9]), {1: 0.0})
+
+    def test_float_label_refused(self):
+        # built in code, this decoded to the string (1.5,)
+        with pytest.raises(ValueError) as info:
+            Automaton(LOG, 2, 0, ([0], [1.5], [0.5], [1]), {1: 0.0})
+        assert str(info.value) == "label 1.5 on arc 0->1 is not an int"
+
+    def test_nan_label_refused_wherever_it_sorts(self):
+        # built in code, a NaN label that did not sort first was accepted
+        for labels in ([1, NAN], [NAN, 1], [2, NAN, 1]):
+            count = len(labels)
+            with pytest.raises(ValueError) as info:
+                Automaton(LOG, 2, 0, ([0] * count, labels, [0.5] * count,
+                                      [1] * count), {1: 0.0})
+            assert str(info.value) == "label nan on arc 0->1 is not an int"
+
+    def test_float_target_refused(self):
+        # built in code, this was accepted, and shortest_string ended in a
+        # TypeError from distance._string_bound's table lookup
+        with pytest.raises(ValueError) as info:
+            Automaton(LOG, 2, 0, ([0], [1], [0.5], [1.0]), {1: 0.0})
+        assert str(info.value) == "arc target 1.0 on arc from 0 is not an int"
+
+    def test_arc_tuples_are_not_read_as_columns(self):
+        # four (source, label, weight, target) tuples unpack as four
+        # "columns"; the int rule refuses them, since the third record's
+        # source is the first arc's weight
+        arcs = [(0, 1, 0.5, 1), (1, 1, 0.5, 2), (1, 2, 0.25, 2),
+                (2, 1, 0.75, 3)]
+        with pytest.raises(ValueError) as info:
+            Automaton(LOG, 4, 0, arcs, {3: 0.0})
+        assert str(info.value) == "arc source 0.5 is not an int"
+        # as columns, the same arcs build
+        a = Automaton(LOG, 4, 0, arc_columns(arcs), {3: 0.0})
+        assert list(a.all_arcs()) == arcs
 
     def test_non_member_weight(self):
         # built in code, this decoded to a false "accepts no string"
         with pytest.raises(ValueError, match="^arc weight nan on 0->1 is not"):
-            Automaton(LOG, 2, 0, [(0, 1, NAN, 1)], {1: 1.0})
+            Automaton(LOG, 2, 0, ([0], [1], [NAN], [1]), {1: 1.0})
         with pytest.raises(ValueError,
                            match="^final weight nan of state 1 is not"):
-            Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {1: NAN})
+            Automaton(LOG, 2, 0, ([0], [1], [0.5], [1]), {1: NAN})
 
     def test_negative_infinity_rejected(self):
         # -inf would be a probability of +inf; decoding it produced NaN
         # residuals and a traceback
         with pytest.raises(ValueError, match="^arc weight -inf on 0->1 is not"):
-            Automaton(LOG, 2, 0, [(0, 1, -INF, 1)], {1: -INF})
+            Automaton(LOG, 2, 0, ([0], [1], [-INF], [1]), {1: -INF})
         with pytest.raises(ValueError,
                            match="^final weight -inf of state 1 is not"):
-            Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {1: -INF})
+            Automaton(LOG, 2, 0, ([0], [1], [0.5], [1]), {1: -INF})
         with pytest.raises(ParseError) as info:
             read_text("0 1 1 -inf\n1\n", LOG)
         assert info.value.line == 1
 
     def test_final_out_of_range(self):
         with pytest.raises(ValueError, match="^final state 9 out of range$"):
-            Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {1: 0.0, 9: 0.0})
+            Automaton(LOG, 2, 0, ([0], [1], [0.5], [1]), {1: 0.0, 9: 0.0})
 
     def test_generated_instances_valid(self):
         for seed in range(25):
@@ -421,7 +498,8 @@ class TestValidate:
         # over the arcs alone, with the final weight, and from a state
         # inside the lattice rather than from the initial one
         half = SUM_LIMIT / 2
-        validate(Automaton(LOG, 3, 0, [(0, 1, half, 1), (1, 1, half, 2)],
+        validate(Automaton(LOG, 3, 0,
+                           arc_columns([(0, 1, half, 1), (1, 1, half, 2)]),
                            {2: 0.0}))
         for arcs, finals in [([(0, 1, half, 1), (1, 1, half * 1.5, 2)], {2: 0.0}),
                              ([(0, 1, half, 1), (1, 1, half, 2)], {2: 1e300}),
@@ -429,7 +507,7 @@ class TestValidate:
                                (2, 1, -half, 3)], {3: 0.0})]:
             with pytest.raises(ValueError,
                                match="^path weights sum to .* beyond"):
-                Automaton(LOG, 4, 0, arcs, finals)
+                Automaton(LOG, 4, 0, arc_columns(arcs), finals)
 
     def test_overflowing_text_refused(self):
         # read_text builds the automaton, so it refuses the path sums with
@@ -442,8 +520,8 @@ class TestValidate:
             f"(half the float range)")
 
     def test_unreachable_path_sums_ignored(self):
-        a = Automaton(LOG, 4, 0, [(0, 1, 0.5, 1), (2, 1, 1e308, 3),
-                                  (3, 1, 1e308, 1)], {1: 0.0})
+        a = Automaton(LOG, 4, 0, arc_columns([(0, 1, 0.5, 1), (2, 1, 1e308, 3),
+                                  (3, 1, 1e308, 1)]), {1: 0.0})
         validate(a)
 
 
@@ -454,6 +532,24 @@ class TestReadText:
         assert a.initial == 0
         assert a.arcs(0) == ((5, 0.5, 1),)
         assert a.finals[1] == 0.0
+
+    def test_read_peak_within_twice_the_automaton(self):
+        # no copy of the data outlives its use: the split lines go before
+        # the automaton is built, and the constructor keeps no copy of its
+        # columns, so the read's peak, over what existed before it, is at
+        # most twice the automaton it returns. A depth-2000 lattice spans
+        # eight blocks of lines
+        text = write_text(generate(LatticeSpec(depth=2000, width=4, vocab=4,
+                                               skew=3.0, seed=0)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            a = read_text(text, LOG)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (text.count("\n"), a.num_arcs()) == (31_992, 31_988)
+        assert peak - before <= 2 * (retained - before)
 
     def test_single_final_initial_state(self):
         a = read_text("0 0.0\n", LOG)
@@ -700,7 +796,7 @@ class TestReadDifferential:
                 longest = max(longest, text.count("\n"))
                 ids = [q for s, _, _, t in arcs for q in (s, t)] + [*finals]
                 direct = Automaton(encoding, max(ids) + 1, lattice.initial,
-                                   arcs, finals)
+                                   arc_columns(arcs), finals)
                 assert _exact(read_text(text, encoding)) == _exact(direct)
         assert longest > 4096
 
@@ -724,14 +820,14 @@ class TestWriteText:
 
     def test_round_trip_preserves_weights_exactly(self):
         weird = 0.1 + 0.2  # 0.30000000000000004
-        a = Automaton(LOG, 2, 0, [(0, 1, weird, 1)], {1: 1e-17})
+        a = Automaton(LOG, 2, 0, ([0], [1], [weird], [1]), {1: 1e-17})
         again = read_text(write_text(a), LOG)
         (_, weight, _), = again.arcs(0)
         assert weight == weird
         assert again.finals[1] == 1e-17
 
     def test_initial_block_first(self):
-        a = Automaton(LOG, 2, 1, [(1, 1, 0.5, 0)], {0: 0.0})
+        a = Automaton(LOG, 2, 1, ([1], [1], [0.5], [0]), {0: 0.0})
         text = write_text(a)
         assert text.splitlines()[0].startswith("1 ")
         assert read_text(text, LOG).initial == 1
@@ -760,18 +856,18 @@ class TestWriteText:
         # exp(-w) rounds to 0.0 above about 745.13, and 0.0 is no arc;
         # it overflows to inf below about -709.78, which read_text refuses
         with pytest.raises(ValueError) as info:
-            write_text(Automaton(REAL, 2, 0, arcs, finals))
+            write_text(Automaton(REAL, 2, 0, arc_columns(arcs), finals))
         assert str(info.value) == message
 
     def test_real_subnormal_weight_written(self):
         # a subnormal probability keeps fewer digits: it reads back as an
         # arc, but its weight moves by far more than an ulp
-        a = Automaton(REAL, 2, 0, [(0, 1, 745.0, 1)], {1: 0.0})
+        a = Automaton(REAL, 2, 0, ([0], [1], [745.0], [1]), {1: 0.0})
         (_, weight, _), = read_text(write_text(a), REAL).arcs(0)
         assert 0.5 < 745.0 - weight < 0.6
 
     def test_unrepresentable_initial(self):
-        a = Automaton(LOG, 2, 0, [(1, 1, 0.5, 0)], {0: INF})
+        a = Automaton(LOG, 2, 0, ([1], [1], [0.5], [0]), {0: INF})
         with pytest.raises(ValueError):
             write_text(a)
 

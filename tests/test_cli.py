@@ -12,7 +12,8 @@ from shortstring import (LOG, REAL, Automaton, LatticeSpec, cli, generate,
                          write_text)
 from shortstring.search import rounding
 
-from conftest import E1_SYMBOLS_TEXT, E1_TEXT, small_instance, to_real
+from conftest import (E1_SYMBOLS_TEXT, E1_TEXT, arc_columns, small_instance,
+                      to_real)
 
 
 @pytest.fixture
@@ -547,9 +548,9 @@ class TestDecode:
             def build(encoding, arc_weight, start=0.0, end=0.0):
                 return Automaton(
                     encoding, a.num_states, a.initial,
-                    [(s, label, arc_weight(w) + (start if s == a.initial
-                                                 else 0.0), t)
-                     for s, label, w, t in arcs],
+                    arc_columns([(s, label, arc_weight(w) + (start if s == a.initial
+                                                             else 0.0), t)
+                                 for s, label, w, t in arcs]),
                     {q: w + end for q, w in finals.items()})
             return (a, build(LOG, lambda w: w + 1e6),
                     build(LOG, lambda w: w + 1e14),
@@ -820,8 +821,9 @@ def test_decode_leaves_no_cyclic_garbage(capsys, tmp_path, e1_numeric_file):
     deep = generate(LatticeSpec(depth=300, width=4, vocab=4, skew=3.0,
                                 seed=0))
     flat = Automaton(LOG, deep.num_states, deep.initial,
-                     [(source, label, 0.0, target)
-                      for source, label, _, target in deep.all_arcs()],
+                     arc_columns([(source, label, 0.0, target)
+                                  for source, label, _, target
+                                  in deep.all_arcs()]),
                      dict.fromkeys(deep.finals, 0.0))
     argvs += [("decode", lattice_file("flat.lat", write_text(flat))),
               ("decode", lattice_file("chains.lat", _tied_chains_text(2000)))]

@@ -7,8 +7,8 @@ from shortstring import (Automaton, BudgetExceededError, DfaCache, LOG, REAL,
                          approx_eq, backward_distance, enumerate_strings,
                          log_sum, materialize, read_text, write_text)
 
-from conftest import (D_A, D_B, E1_TOTAL, LN2, random_dag, small_instance,
-                      to_real)
+from conftest import (D_A, D_B, E1_TOTAL, LN2, arc_columns, random_dag,
+                      small_instance, to_real)
 
 INF = math.inf
 
@@ -66,7 +66,7 @@ class TestE1Construction:
     def test_final_weight_lifting_formula(self):
         # subset {(1, 0.2), (3, 0.5)} with final weight 0.1 on state 3:
         # only the final member contributes, residual times final weight
-        a = Automaton(LOG, 4, 0, [(0, 1, 1.0, 1)], {3: 0.1})
+        a = Automaton(LOG, 4, 0, ([0], [1], [1.0], [1]), {3: 0.1})
         cache = DfaCache(a)
         handle = cache._intern(((1, 0.2), (3, 0.5)))
         assert approx_eq(cache.final_weight(handle), 0.6, 1e-12)
@@ -89,11 +89,12 @@ class TestFullExpand:
     def test_deterministic_input_stays_same_size(self):
         # a deterministic chain determinizes to singleton subsets
         arcs = [(q, 1 + (q % 2), 0.5, q + 1) for q in range(5)]
-        a = Automaton(LOG, 6, 0, arcs, {5: 0.0})
+        a = Automaton(LOG, 6, 0, arc_columns(arcs), {5: 0.0})
         assert DfaCache(a).full_expand() == 6
 
     def test_parallel_arcs_merge(self):
-        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (0, 1, 0.9, 1)], {1: 0.0})
+        a = Automaton(LOG, 2, 0, arc_columns([(0, 1, 0.5, 1), (0, 1, 0.9, 1)]),
+                      {1: 0.0})
         cache = DfaCache(a)
         assert cache.full_expand() == 2
         assert len(cache.expand(0)) == 1
@@ -108,9 +109,10 @@ class TestFullExpand:
     def test_zero_tolerance_keys_exactly(self):
         # labels 1 and 3 carry equal masses into states {1, 2}, label 2
         # carries 1e-7 more into state 2: the subset is keyed by its pairs
-        a = Automaton(LOG, 3, 0, [(0, 1, 0.0, 1), (0, 1, 0.5, 2),
-                                  (0, 2, 0.0, 1), (0, 2, 0.5 + 1e-7, 2),
-                                  (0, 3, 0.0, 1), (0, 3, 0.5, 2)],
+        a = Automaton(LOG, 3, 0,
+                      arc_columns([(0, 1, 0.0, 1), (0, 1, 0.5, 2),
+                                   (0, 2, 0.0, 1), (0, 2, 0.5 + 1e-7, 2),
+                                   (0, 3, 0.0, 1), (0, 3, 0.5, 2)]),
                       {1: 0.0, 2: 0.0})
         cache = DfaCache(a)
         (_, _, first), (_, _, near), (_, _, equal) = cache.expand(0)

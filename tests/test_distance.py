@@ -7,8 +7,8 @@ from shortstring import (Automaton, CycleError, EmptyLanguageError, LOG, REAL,
                          forward_distance, log_sum, oracle_shortest_string,
                          total_distance)
 
-from conftest import (E1_ARCS, E1_TOTAL, SIGMA_AB, random_dag, small_instance,
-                      to_real)
+from conftest import (E1_ARCS, E1_TOTAL, SIGMA_AB, arc_columns, random_dag,
+                      small_instance, to_real)
 
 INF = math.inf
 
@@ -50,12 +50,14 @@ class TestE1Values:
 class TestEdgeCases:
     def test_state_with_no_path_to_final(self):
         # state 2 dangles: backward distance is the semiring zero
-        a = Automaton(LOG, 3, 0, [(0, 1, 0.5, 1), (0, 2, 0.5, 2)], {1: 0.0})
+        a = Automaton(LOG, 3, 0, arc_columns([(0, 1, 0.5, 1), (0, 2, 0.5, 2)]),
+                      {1: 0.0})
         beta = backward_distance(a)
         assert beta[2] == INF
 
     def test_unreachable_state_forward(self):
-        a = Automaton(LOG, 3, 0, [(0, 1, 0.5, 1), (2, 1, 0.5, 1)], {1: 0.0})
+        a = Automaton(LOG, 3, 0, arc_columns([(0, 1, 0.5, 1), (2, 1, 0.5, 1)]),
+                      {1: 0.0})
         alpha = forward_distance(a)
         assert alpha[2] == INF
 
@@ -65,11 +67,11 @@ class TestEdgeCases:
             assert forward_distance(a)[a.initial] == 0.0
 
     def test_no_final_reachable(self):
-        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {})
+        a = Automaton(LOG, 2, 0, ([0], [1], [0.5], [1]), {})
         assert total_distance(a) == INF
 
     def test_single_final_state(self):
-        a = Automaton(LOG, 1, 0, [], {0: 0.3})
+        a = Automaton(LOG, 1, 0, ([], [], [], []), {0: 0.3})
         assert total_distance(a) == 0.3
 
     def test_cyclic_rejected(self):
@@ -77,7 +79,8 @@ class TestEdgeCases:
         # refused where it is built, before any table is asked of it
         with pytest.raises(CycleError,
                            match="^cycle detected: arc 1->0 closes a loop$"):
-            Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (1, 1, 0.5, 0)], {1: 0.0})
+            Automaton(LOG, 2, 0, arc_columns([(0, 1, 0.5, 1), (1, 1, 0.5, 0)]),
+                      {1: 0.0})
 
     def test_path_sums_beyond_limit_rejected(self):
         # the forward sum into state 2 is -inf, and the backward tables
@@ -87,9 +90,11 @@ class TestEdgeCases:
         arcs = [(0, 1, -1e308, 1), (1, 1, -1e308, 2), (0, 1, 5.0, 3)]
         with pytest.raises(ValueError,
                            match=r"^path weights sum to -inf \.\. 5\.0, beyond"):
-            Automaton(LOG, 4, 0, arcs, {2: 0.0, 3: 0.0})
-        half = Automaton(LOG, 4, 0, [(source, label, weight / 4, target)
-                                     for source, label, weight, target in arcs],
+            Automaton(LOG, 4, 0, arc_columns(arcs), {2: 0.0, 3: 0.0})
+        half = Automaton(LOG, 4, 0,
+                         arc_columns([(source, label, weight / 4, target)
+                                      for source, label, weight, target
+                                      in arcs]),
                          {2: 0.0, 3: 0.0})
         for table in (forward_distance, backward_distance,
                       lambda a: backward_distance(a, "string")):
@@ -106,7 +111,8 @@ class TestEdgeCases:
         # a self-loop is a cycle too, and is refused before any table
         with pytest.raises(CycleError,
                            match="^cycle detected: arc 1->1 closes a loop$"):
-            Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (1, 2, 0.5, 1)], {1: 0.0})
+            Automaton(LOG, 2, 0, arc_columns([(0, 1, 0.5, 1), (1, 2, 0.5, 1)]),
+                      {1: 0.0})
 
 
 class TestProperties:
@@ -138,7 +144,8 @@ class TestProperties:
         base = backward_distance(a)
         for drop in range(len(arcs)):
             kept = arcs[:drop] + arcs[drop + 1:]
-            b = Automaton(LOG, a.num_states, a.initial, kept, dict(a.finals))
+            b = Automaton(LOG, a.num_states, a.initial, arc_columns(kept),
+                          dict(a.finals))
             smaller = backward_distance(b)
             for q in range(a.num_states):
                 assert base[q] <= smaller[q] + 1e-9
@@ -189,7 +196,9 @@ class TestStringView:
 
     def test_exact_on_deterministic_input(self):
         # one arc per label everywhere: u is the best string's weight
-        a = Automaton(LOG, 4, 0, [(0, 1, 0.3, 1), (0, 2, 0.2, 2),
-                                  (1, 1, 0.4, 3), (2, 2, 0.9, 3)], {3: 0.1})
+        a = Automaton(LOG, 4, 0,
+                      arc_columns([(0, 1, 0.3, 1), (0, 2, 0.2, 2),
+                                   (1, 1, 0.4, 3), (2, 2, 0.9, 3)]),
+                      {3: 0.1})
         _, weight = oracle_shortest_string(a)
         assert approx_eq(backward_distance(a, "string")[0], weight, 1e-12)

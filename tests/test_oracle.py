@@ -7,7 +7,7 @@ from shortstring import (Automaton, BudgetExceededError, EmptyLanguageError,
                          oracle_shortest_path, oracle_shortest_string,
                          total_distance)
 
-from conftest import SIGMA_AB, SIGMA_C, small_instance
+from conftest import SIGMA_AB, SIGMA_C, arc_columns, small_instance
 
 INF = math.inf
 
@@ -20,15 +20,15 @@ class TestEnumerateStrings:
         assert sigma[(3,)] == SIGMA_C
 
     def test_empty_language(self):
-        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {})
+        a = Automaton(LOG, 2, 0, ([0], [1], [0.5], [1]), {})
         assert enumerate_strings(a) == {}
 
     def test_epsilon_only(self):
-        a = Automaton(LOG, 1, 0, [], {0: 0.3})
+        a = Automaton(LOG, 1, 0, ([], [], [], []), {0: 0.3})
         assert enumerate_strings(a) == {(): 0.3}
 
     def test_epsilon_alongside_arcs(self):
-        a = Automaton(LOG, 2, 0, [(0, 4, 0.5, 1)], {0: 0.1, 1: 0.2})
+        a = Automaton(LOG, 2, 0, ([0], [4], [0.5], [1]), {0: 0.1, 1: 0.2})
         sigma = enumerate_strings(a)
         assert sigma[()] == 0.1
         assert sigma[(4,)] == 0.7
@@ -46,17 +46,17 @@ class TestShortestString:
 
     def test_tie_breaks_shortlex(self):
         arcs = [(0, 2, 0.5, 1), (0, 1, 0.5, 2), (1, 1, 0.5, 3), (2, 2, 0.5, 3)]
-        a = Automaton(LOG, 4, 0, arcs, {3: 0.0})
+        a = Automaton(LOG, 4, 0, arc_columns(arcs), {3: 0.0})
         assert oracle_shortest_string(a)[0] == (1, 2)
 
     def test_single_string(self):
-        a = Automaton(LOG, 2, 0, [(0, 9, 0.4, 1)], {1: 0.1})
+        a = Automaton(LOG, 2, 0, ([0], [9], [0.4], [1]), {1: 0.1})
         labels, weight = oracle_shortest_string(a)
         assert labels == (9,)
         assert approx_eq(weight, total_distance(a), 1e-12)
 
     def test_empty_language(self):
-        a = Automaton(LOG, 1, 0, [], {})
+        a = Automaton(LOG, 1, 0, ([], [], [], []), {})
         with pytest.raises(EmptyLanguageError):
             oracle_shortest_string(a)
 
@@ -71,18 +71,18 @@ class TestShortestPath:
     def test_deterministic_automaton_agrees(self):
         # one path per string, so best path and best string coincide
         arcs = [(0, 1, 0.3, 1), (0, 2, 0.6, 1), (1, 1, 0.2, 2)]
-        a = Automaton(LOG, 3, 0, arcs, {2: 0.0})
+        a = Automaton(LOG, 3, 0, arc_columns(arcs), {2: 0.0})
         assert oracle_shortest_path(a)[0] == oracle_shortest_string(a)[0]
 
     def test_dominant_path_agrees(self):
         # one path dominates every merged sum outright
         arcs = [(0, 1, 0.1, 1), (0, 2, 5.0, 1)]
-        a = Automaton(LOG, 2, 0, arcs, {1: 0.0})
+        a = Automaton(LOG, 2, 0, arc_columns(arcs), {1: 0.0})
         assert oracle_shortest_path(a)[0] == (1,)
         assert oracle_shortest_string(a)[0] == (1,)
 
     def test_empty_language(self):
-        a = Automaton(LOG, 1, 0, [], {})
+        a = Automaton(LOG, 1, 0, ([], [], [], []), {})
         with pytest.raises(EmptyLanguageError):
             oracle_shortest_path(a)
 
@@ -93,7 +93,7 @@ def parallel_layers(layers: int, finals=()) -> Automaton:
     of ``finals``."""
     arcs = [(q, label, weight, q + 1) for q in range(layers)
             for label, weight in ((1, 0.5), (2, 0.7))]
-    return Automaton(LOG, layers + 1, 0, arcs,
+    return Automaton(LOG, layers + 1, 0, arc_columns(arcs),
                      {q: 0.0 for q in (*finals, layers)})
 
 
@@ -126,7 +126,8 @@ class TestCyclicInput:
         from shortstring import CycleError
         with pytest.raises(CycleError,
                            match="^cycle detected: arc 1->0 closes a loop$"):
-            Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (1, 1, 0.5, 0)], {1: 0.0})
+            Automaton(LOG, 2, 0, arc_columns([(0, 1, 0.5, 1), (1, 1, 0.5, 0)]),
+                      {1: 0.0})
 
 
 class TestPartition:

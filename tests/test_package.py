@@ -33,7 +33,7 @@ def test_readme_library_example(tmp_path, monkeypatch):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(code, {})
-    result, stats, best_path = out.getvalue().splitlines()
+    result, stats, best_path, built = out.getvalue().splitlines()
     # the comments give what each print shows
     assert "# (1, 2) 0.6018611306184081" in code
     assert result == "(1, 2) 0.6018611306184081"
@@ -41,6 +41,9 @@ def test_readme_library_example(tmp_path, monkeypatch):
     assert {"subsets_built", "popped"} <= ast.literal_eval(stats).keys()
     assert "# ((3,), 0.9): best path, not string" in code
     assert best_path == "((3,), 0.9)"
+    # the same lattice built in code from arc columns
+    assert "# (1, 2), as read from demo.lat" in code
+    assert built == "(1, 2)"
 
 
 def test_readme_cli_example(tmp_path, monkeypatch, capsys):

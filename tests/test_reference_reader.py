@@ -16,7 +16,7 @@ import random
 from shortstring import (LOG, REAL, Automaton, LatticeSpec, ParseError,
                          SymbolTable, generate, read_text, write_text)
 
-from conftest import to_real
+from conftest import arc_columns, to_real
 
 INF = math.inf
 
@@ -51,7 +51,8 @@ def reference_read(text, encoding, symbols=None):
     if initial is None:
         raise ParseError("no records found")
     ids = [initial, *finals] + [q for s, _, _, t in arcs for q in (s, t)]
-    return Automaton(encoding, max(ids) + 1, initial, arcs, finals)
+    return Automaton(encoding, max(ids) + 1, initial, arc_columns(arcs),
+                     finals)
 
 
 def _integer(text, what):

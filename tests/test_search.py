@@ -15,7 +15,8 @@ from shortstring import search as search_module
 from shortstring.automaton import SUM_LIMIT
 from shortstring.search import _Path
 
-from conftest import SIGMA_AB, random_dag, small_instance, to_real
+from conftest import (SIGMA_AB, arc_columns, random_dag, small_instance,
+                      to_real)
 
 INF = math.inf
 NAN = math.nan
@@ -64,26 +65,26 @@ class TestE1:
 
 class TestSmallCases:
     def test_single_path(self):
-        a = Automaton(LOG, 2, 0, [(0, 7, 0.25, 1)], {1: 0.0})
+        a = Automaton(LOG, 2, 0, ([0], [7], [0.25], [1]), {1: 0.0})
         result = shortest_string(a)
         assert result.labels == (7,)
         assert result.weight == 0.25
         assert result.stats.popped == 3  # two subsets plus the super-final
 
     def test_empty_string_result(self):
-        a = Automaton(LOG, 1, 0, [], {0: 0.3})
+        a = Automaton(LOG, 1, 0, ([], [], [], []), {0: 0.3})
         result = shortest_string(a)
         assert result.labels == ()
         assert result.weight == 0.3
 
     def test_empty_string_beats_worse_arc(self):
-        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {0: 0.1, 1: 0.0})
+        a = Automaton(LOG, 2, 0, ([0], [1], [0.5], [1]), {0: 0.1, 1: 0.0})
         result = shortest_string(a)
         assert result.labels == ()
         assert result.weight == 0.1
 
     def test_empty_language(self):
-        a = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {})
+        a = Automaton(LOG, 2, 0, ([0], [1], [0.5], [1]), {})
         with pytest.raises(EmptyLanguageError):
             shortest_string(a)
         with pytest.raises(EmptyLanguageError):
@@ -129,7 +130,7 @@ class TestSmallCases:
             assert info.value.stats.subsets_built == cache.num_states
             return info.value
 
-        empty = Automaton(LOG, 2, 0, [(0, 1, 0.5, 1)], {})
+        empty = Automaton(LOG, 2, 0, ([0], [1], [0.5], [1]), {})
         lazy = search is shortest_string
         # the budget passes mid-search for the lazy search, and inside
         # full_expand, before the first push, for the baseline
@@ -198,7 +199,7 @@ class TestSmallCases:
         # merged two-path string must still beat the lone cheaper path
         arcs = [(0, 1, 1000.5, 1), (0, 1, 1000.5, 2), (1, 2, 0.7, 3),
                 (2, 2, 0.9, 3), (0, 3, 1000.9, 3)]
-        a = Automaton(LOG, 4, 0, arcs, {3: 0.0})
+        a = Automaton(LOG, 4, 0, arc_columns(arcs), {3: 0.0})
         result = shortest_string(a)
         assert result.labels == (1, 2)
         assert approx_eq(result.weight, 1000.0 + SIGMA_AB, 1e-9)
@@ -224,8 +225,9 @@ class TestContract:
         # The automaton is refused where it is built; scaled into range,
         # the same shape reaches the entry point and is not refused
         def shape(big):
-            return Automaton(LOG, 6, 0, [(0, 1, -big, 1), (0, 1, big, 2),
-                                         (2, 3, 1.0, 4), (2, 3, 1.0, 5)],
+            return Automaton(LOG, 6, 0,
+                             arc_columns([(0, 1, -big, 1), (0, 1, big, 2),
+                                          (2, 3, 1.0, 4), (2, 3, 1.0, 5)]),
                              {4: 0.0, 5: 0.0})
         with pytest.raises(ValueError) as info:
             entry(shape(1e308))
@@ -243,8 +245,9 @@ class TestContract:
         # built, and the lazy search decodes it; but state 2's residual is
         # their difference, and materialize refuses the machine that the
         # baseline and the audit build
-        a = Automaton(LOG, 6, 0, [(0, 1, -SUM_LIMIT, 1), (0, 1, SUM_LIMIT, 2),
-                                  (2, 3, 1.0, 4), (2, 3, 1.0, 5)],
+        a = Automaton(LOG, 6, 0,
+                      arc_columns([(0, 1, -SUM_LIMIT, 1), (0, 1, SUM_LIMIT, 2),
+                                   (2, 3, 1.0, 4), (2, 3, 1.0, 5)]),
                       {4: 0.0, 5: 0.0})
         assert shortest_string(a).labels == (1, 3)
         with pytest.raises(ValueError) as info:
@@ -257,7 +260,8 @@ class TestContract:
     def test_cycle_refused(self):
         with pytest.raises(CycleError,
                            match="^cycle detected: arc 1->0 closes a loop$"):
-            Automaton(LOG, 2, 0, [(0, 1, 0.5, 1), (1, 1, 0.5, 0)], {1: 0.0})
+            Automaton(LOG, 2, 0, arc_columns([(0, 1, 0.5, 1), (1, 1, 0.5, 0)]),
+                      {1: 0.0})
 
     def test_random_arc_lists(self):
         # states and labels are ints, so a state field draws its extremes
@@ -298,7 +302,7 @@ def _contract_outcome(rng) -> str:
     # the constructor refuses an arc or final entry, or else the graph:
     # a cycle, or path sums beyond the limit
     try:
-        a = Automaton(LOG, n, 0, arcs, finals)
+        a = Automaton(LOG, n, 0, arc_columns(arcs), finals)
     except CycleError:
         return "graph"
     except ValueError as exc:
@@ -340,7 +344,7 @@ class TestTieBreaks:
     def test_lexicographic_tie(self):
         # strings (2, 1) and (1, 2) with exactly equal weight 1.0
         arcs = [(0, 2, 0.5, 1), (0, 1, 0.5, 2), (1, 1, 0.5, 3), (2, 2, 0.5, 3)]
-        a = Automaton(LOG, 4, 0, arcs, {3: 0.0})
+        a = Automaton(LOG, 4, 0, arc_columns(arcs), {3: 0.0})
         result = shortest_string(a)
         assert result.labels == (1, 2)
         assert result.weight == 1.0
@@ -349,7 +353,7 @@ class TestTieBreaks:
     def test_shorter_string_wins_tie(self):
         # string (5,) and string (1, 2), both weight exactly 1.0
         arcs = [(0, 5, 1.0, 3), (0, 1, 0.5, 1), (1, 2, 0.5, 3)]
-        a = Automaton(LOG, 4, 0, arcs, {3: 0.0})
+        a = Automaton(LOG, 4, 0, arc_columns(arcs), {3: 0.0})
         result = shortest_string(a)
         assert result.labels == (5,)
         assert oracle_shortest_string(a)[0] == (5,)
@@ -362,7 +366,7 @@ class TestTieBreaks:
         # still win
         arcs = [(0, 2, 0.3, 1), (1, 1, 0.7, 3), (1, 9, 5.0, 4),
                 (0, 1, 0.7, 2), (2, 3, 0.3, 3)]
-        a = Automaton(LOG, 5, 0, arcs, {3: 0.0, 4: 0.0})
+        a = Automaton(LOG, 5, 0, arc_columns(arcs), {3: 0.0, 4: 0.0})
         result = shortest_string(a)
         assert result.labels == (1, 3)
         assert result.weight == 1.0
@@ -389,7 +393,7 @@ class TestTieBreaks:
             arcs.append((prev, rest, 0.25, last))
         arcs += [(last_large, 5, 0.3, end), (last_large, 5, 0.3, end + 1),
                  (end, 7, 0.3, end + 2), (end + 1, 8, 0.3, end + 2)]
-        a = Automaton(LOG, end + 3, 0, arcs,
+        a = Automaton(LOG, end + 3, 0, arc_columns(arcs),
                       {last_small: 0.5, last_large: 0.5, end + 2: 0.0})
         assert backward_distance(a, "string")[last_large] < 0.5
         result = shortest_string(a)
@@ -409,7 +413,7 @@ class TestDominance:
         (a1, a2), (b1, b2) = first, second
         arcs = [(0, 2, a1, 1), (0, 2, a2, 2), (0, 1, b1, 1), (0, 1, b2, 2),
                 (1, 3, 0.5, 3), (2, 4, 0.5, 3)]
-        a = Automaton(LOG, 4, 0, arcs, {3: 0.0})
+        a = Automaton(LOG, 4, 0, arc_columns(arcs), {3: 0.0})
         pops = []
         result = shortest_string(a, on_pop=lambda h, *rest: pops.append(h))
         assert result.stats.popped == len(pops)
@@ -449,7 +453,7 @@ class TestDominance:
         arcs = [(0, 2, -(big + 1000), 1), (0, 2, v, 2),
                 (0, 1, -(big - 500), 1), (0, 1, v, 2),
                 (1, 3, big + 1005, 3), (2, 4, 3 / 8192, 3)]
-        return Automaton(LOG, 4, 0, arcs, {3: 0.0})
+        return Automaton(LOG, 4, 0, arc_columns(arcs), {3: 0.0})
 
     def test_cancelling_weights_widen_the_margin(self):
         # (1, 4) and (2, 4) tie and (1, 4) is the answer. Their masses
@@ -593,8 +597,9 @@ class TestDifferential:
     @pytest.mark.parametrize("search", [
         shortest_string, shortest_string_via_full_determinization])
     def test_cache_over_another_automaton_refused(self, search):
-        a = Automaton(LOG, 3, 0, [(0, 1, 0.0, 1), (1, 2, 0.0, 2)], {2: 0.0})
-        b = Automaton(LOG, 2, 0, [(0, 7, 0.0, 1)], {1: 0.0})
+        a = Automaton(LOG, 3, 0, arc_columns([(0, 1, 0.0, 1), (1, 2, 0.0, 2)]),
+                      {2: 0.0})
+        b = Automaton(LOG, 2, 0, ([0], [7], [0.0], [1]), {1: 0.0})
         with pytest.raises(ValueError, match="another automaton"):
             search(a, cache=DfaCache(b))
 
@@ -639,7 +644,7 @@ class TestHeuristicAudit:
     def test_near_tie_clean(self):
         arcs = [(0, 1, 1.0, 1), (0, 1, 1.0 + 1e-12, 2),
                 (1, 2, 0.5, 3), (2, 2, 0.5, 3)]
-        a = Automaton(LOG, 4, 0, arcs, {3: 0.0})
+        a = Automaton(LOG, 4, 0, arc_columns(arcs), {3: 0.0})
         report = heuristic_audit(a)
         assert report.ok
 
@@ -726,6 +731,7 @@ class TestHeuristicAudit:
             arcs = [(q, label, weight + offset(q), target)
                     for q in range(base.num_states)
                     for label, weight, target in base.arcs(q)]
-            a = Automaton(LOG, base.num_states, 0, arcs, dict(base.finals))
+            a = Automaton(LOG, base.num_states, 0, arc_columns(arcs),
+                          dict(base.finals))
             assert heuristic_audit(a).ok, seed
             assert shortest_string(a).stats.order_violations == 0, seed

@@ -157,7 +157,8 @@ class TestRealOps:
     def test_non_member_arc_refused_not_dropped(self):
         with pytest.raises(ValueError, match="arc weight nan on 0->1 is not "
                                              "a member of the log semiring"):
-            Automaton(REAL, 2, 0, [(0, 1, REAL.to_log(-0.5), 1)], {1: 0.0})
+            Automaton(REAL, 2, 0, ([0], [1], [REAL.to_log(-0.5)], [1]),
+                      {1: 0.0})
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, 0.25, 1.0, 2.5, 1e308, -1e-300, -0.5,
