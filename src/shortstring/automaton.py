@@ -89,9 +89,11 @@ class Automaton:
                              "weights, targets") from None
         # As (source, label, target, weight) rows in order, the columns
         # group the arcs by source and order each state's arcs. Columns
-        # already in that order, as read_text and generate give them, are
-        # read as they are, confirmed by one comparison per row; others
-        # are sorted as rows and transposed back, and the rows dropped.
+        # already in that order, as materialize gives them and read_text
+        # gives them for a file write_text wrote, are read as they are,
+        # confirmed by one comparison per row; others, such as generate's
+        # (each source's arcs in slot order, not label order), are sorted
+        # as rows and transposed back, and the rows dropped.
         try:
             if uneven:
                 raise ValueError("arc columns of unequal length")

@@ -74,7 +74,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import lt
 from typing import Callable, Optional
-from weakref import ref
 
 from .automaton import Automaton
 from .determinize import DfaCache, materialize
@@ -183,16 +182,18 @@ class _Path:
     do, so a walk back that meets a remembered pair stops there: paths
     that keep tying while they grow, which the heap compares again after
     every step, cost one step per comparison instead of their length.
-    The memo link is weak, so two compared paths never form a reference
-    cycle and a search frees its paths by reference counting alone; a
-    path that has died cannot be met again, so it is never a memo hit."""
+    The memo holds a serial: the push count of the heap entry a path is
+    made from, never reused within a search. So a path that has died is
+    never a memo hit, and paths refer to each other only through
+    ``prefix``: they form no cycle, and reference counting frees them."""
 
-    __slots__ = ("label", "prefix", "other", "result", "__weakref__")
+    __slots__ = ("label", "prefix", "serial", "other", "result")
 
-    def __init__(self, label, prefix):
+    def __init__(self, label, prefix, serial):
         self.label = label
         self.prefix = prefix    # None for the empty path
-        self.other = _DEAD      # weak link to the path last compared with
+        self.serial = serial    # from 1 up
+        self.other = 0          # serial of the path last compared with
         self.result = 0         # and how this one compared with it
 
     def labels(self) -> tuple:
@@ -213,17 +214,17 @@ class _Path:
         a, b = self, other
         result = 0
         while a is not b:
-            if a.other() is b:
+            if a.other == b.serial:
                 result = a.result or result
                 break
-            if b.other() is a:
+            if b.other == a.serial:
                 result = -b.result or result
                 break
             if a.label != b.label:
                 result = -1 if a.label < b.label else 1
             a, b = a.prefix, b.prefix
-        self.other, self.result = ref(other), result
-        other.other, other.result = ref(self), -result
+        self.other, self.result = other.serial, result
+        other.other, other.result = self.serial, -result
         return result
 
     def __eq__(self, other):
@@ -232,9 +233,6 @@ class _Path:
     def __lt__(self, other):
         return self._compare(other) < 0
 
-
-# the memo link of a path not yet compared: its referent is already gone
-_DEAD = ref(_Path.__new__(_Path))
 
 # best_g value of a handle never to be pushed again: settled, or a dead
 # end (no completion exists from there); every gscore compares above it
@@ -277,17 +275,17 @@ def _astar(a: Automaton, cache: DfaCache | None,
         # an entry is expanded or is the goal, and the root's (None, None)
         # makes the empty path. Equal lengths compare as (prefix, label),
         # the order of the whole label sequences; the unique push count
-        # stops comparison before the handle
+        # stops comparison before the handle and names the entry's path
         heap = [(ONE + h[root], 0, None, None, 1, root, ONE)]
         pushed = queue_peak = 1
         # a pop priority below floor, the rounding() margin under the
         # highest one so far, breaks the order
         last_fkey = floor = -INF
         while heap:
-            fkey, length, prefix, label, _, handle, g = heappop(heap)
+            fkey, length, prefix, label, serial, handle, g = heappop(heap)
             if handle is None:
                 popped += 1
-                labels = _Path(label, prefix).labels()
+                labels = _Path(label, prefix, serial).labels()
                 if on_pop is not None:
                     on_pop(None, g, ONE, g, labels)
                 return SearchResult(labels, a.encoding.from_log(g), stats)
@@ -316,7 +314,7 @@ def _astar(a: Automaton, cache: DfaCache | None,
             elif fkey > last_fkey:
                 last_fkey = fkey
                 floor = fkey - margin(fkey)
-            path = _Path(label, prefix)
+            path = _Path(label, prefix, serial)
             if on_pop is not None:
                 on_pop(handle, g, h[handle], g + h[handle], path.labels())
             final = final_weight(handle)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from math import exp, log, nan
+from math import exp, fsum, log, nan
 from operator import lt, neg
 from typing import Callable
 
@@ -39,9 +39,11 @@ def log_sum(weights) -> float:
     keeps every exponent in ``[-inf, 0]``, so nothing underflows to a
     false zero however large the weights are.
 
-    Two terms ``a <= b`` skip the general sum: the best term adds
-    exactly ``e^0 = 1.0``, and Python's float ``sum`` of two terms,
-    compensated (3.12 on) or not, rounds to ``fl(1.0 + e^(a-b))``, so
+    The general sum is ``math.fsum``, rounded once from the exact sum,
+    so it gives one float on every Python (the builtin ``sum`` is
+    compensated from 3.12 on and plain before). Two terms ``a <= b``
+    skip it: the best term adds exactly ``e^0 = 1.0``, and ``fsum`` of
+    two terms rounds to ``fl(1.0 + e^(a-b))``, so
     ``a - log(1.0 + exp(a - b))`` is the same float."""
     if len(weights) == 2:
         a, b = weights
@@ -53,14 +55,18 @@ def log_sum(weights) -> float:
     best = min(weights, default=INF)
     if best == INF:
         return INF
-    return best - log(sum([exp(best - w) for w in weights]))
+    return best - log(fsum([exp(best - w) for w in weights]))
 
 
 def members(weights) -> bool:
     """Whether every value is a ``-ln`` weight: a real or ``+inf``, not
-    NaN and not ``-inf``."""
+    NaN, not ``-inf`` and not a value that does not compare with it,
+    such as ``None`` or a string."""
     # the floats above -inf are exactly those: NaN compares false
-    return all(map(lt, repeat(-INF), weights))
+    try:
+        return all(map(lt, repeat(-INF), weights))
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True, eq=False)

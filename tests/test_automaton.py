@@ -142,11 +142,22 @@ class TestConstruction:
         # is still named
         (([1, "0"], [1, 1], [0.5, 0.5], [2, 1]), {},
          "arc source '0' is not an int"),
+        # a weight that does not compare with -inf is not a member
+        (([0], [1], [None], [1]), {1: 0.0},
+         "arc weight None on 0->1 is not a member of the log semiring"),
+        (([0], [1], ["0.5"], [1]), {1: 0.0},
+         "arc weight '0.5' on 0->1 is not a member of the log semiring"),
+        (([0], [1], [0.5], [1]), {1: None},
+         "final weight None of state 1 is not a member of the log "
+         "semiring"),
     ])
     def test_first_offender_named(self, arcs, finals, message):
         with pytest.raises(ValueError) as info:
             Automaton(LOG, 3, 0, arcs, finals)
         assert str(info.value) == message
+        # no chained error is shown with it
+        assert info.value.__context__ is None or (
+            info.value.__suppress_context__)
 
     def test_refusal_names_first_record_failing_alone(self):
         # a seeded corpus of arc columns and final lists, about one record

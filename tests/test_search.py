@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -529,9 +530,11 @@ class TestPathOrder:
         # remembered outcomes are met at every depth
         rng = random.Random(0)
         for _ in range(50):
-            layers = [[_Path(None, None)]]
+            serials = itertools.count(1)
+            layers = [[_Path(None, None, next(serials))]]
             for _ in range(rng.randint(1, 12)):
-                layers.append([_Path(rng.randint(1, 3), rng.choice(layers[-1]))
+                layers.append([_Path(rng.randint(1, 3), rng.choice(layers[-1]),
+                                     next(serials))
                                for _ in range(rng.randint(1, 4))])
                 layer = layers[-1]
                 for _ in range(10):
@@ -539,6 +542,37 @@ class TestPathOrder:
                     want = x.labels() < y.labels()
                     assert (x < y) == want
                     assert (x == y) == (x.labels() == y.labels())
+
+    def test_remembered_comparison_stops_the_walk(self):
+        # two 2,000-label paths that differ at their first label, compared
+        # once; a one-step extension of each then compares as its prefix
+        # did, after one label comparison, not another walk of 2,001
+        counted = []
+
+        class Label:
+            def __init__(self, value):
+                self.value = value
+
+            def __ne__(self, other):
+                counted.append(self)
+                return self.value != other.value
+
+            def __lt__(self, other):
+                counted.append(self)
+                return self.value < other.value
+
+        serials = itertools.count(1)
+        small = large = _Path(None, None, next(serials))
+        for i in range(2000):
+            small = _Path(Label(1 if i == 0 else 2), small, next(serials))
+            large = _Path(Label(2 if i == 0 else 1), large, next(serials))
+        assert small < large
+        assert len(counted) > 2000
+        counted.clear()
+        small = _Path(Label(3), small, next(serials))
+        large = _Path(Label(3), large, next(serials))
+        assert small < large
+        assert len(counted) == 1
 
 
 class TestDifferential:

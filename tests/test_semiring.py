@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 
 import pytest
@@ -62,8 +64,8 @@ class TestLogOps:
             best = min(weights, default=INF)
             if best == INF:
                 return INF
-            return best - math.log(sum([math.exp(best - w)
-                                        for w in weights]))
+            return best - math.log(math.fsum([math.exp(best - w)
+                                              for w in weights]))
 
         rng = random.Random(19)
         draws = (lambda: rng.uniform(-5.0, 5.0),
@@ -87,6 +89,33 @@ class TestLogOps:
             assert log_sum(tuple(weights)).hex() == expected, weights
             assert log_sum(dict(enumerate(weights)).values()).hex() \
                 == expected, weights
+
+    def test_long_sums_round_once(self):
+        # the terms are exactly 1, 1 - 3u twice (u = 2^-53) and the least
+        # subnormal, so their sum lies just above a tie: fsum rounds it
+        # up, while a left-to-right sum and the compensated builtin sum
+        # of Python 3.12 on lose the subnormal and round down, and
+        # log_sum must give fsum's result on every Python
+        def compensated(terms):
+            # Neumaier's sum, as the builtin sum of floats is from 3.12
+            total = error = 0.0
+            for x in terms:
+                t = total + x
+                if abs(total) >= abs(x):
+                    error += (total - t) + x
+                else:
+                    error += (x - t) + total
+                total = t
+            return total + error
+
+        u = 2.0 ** -53
+        weights = [0.0, 3 * u, 3 * u, 744.44]
+        terms = [math.exp(-w) for w in weights]
+        assert terms == [1.0, 1.0 - 3 * u, 1.0 - 3 * u, 5e-324]
+        expected = -math.log(math.fsum(terms))
+        assert -math.log(functools.reduce(operator.add, terms)) != expected
+        assert -math.log(compensated(terms)) != expected
+        assert log_sum(weights) == expected
 
     def test_companion_plus(self):
         # the companion view is min: the sum never loses to it
