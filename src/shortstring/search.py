@@ -20,6 +20,12 @@ first pop, an automaton whose heuristic at the root is zero (``+inf``):
 it accepts no string. It writes every count to one :class:`Stats` on
 every exit, and the two errors carry that as ``stats``.
 
+The search steps each subset it expands once, through
+:func:`.determinize.step`, interns only new successors and weighs a new
+subset's heuristic there, from its pairs. It sums a final weight only
+when a member is final and keeps no arcs: :meth:`.DfaCache.expand`,
+built on the same step, memoizes them only for replays.
+
 A popped subset is skipped, counted in :attr:`Stats.dominated`, when an
 already expanded subset over the same member states beats it on every
 member. Popped with gscore g, a member ``(q, r_q)`` carries the forward
@@ -71,12 +77,13 @@ only :attr:`SearchResult.weight` is converted back to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from operator import lt
 from typing import Callable, Optional
 
 from .automaton import Automaton
-from .determinize import DfaCache, materialize
+from .determinize import DfaCache, materialize, step, weigh
 from .distance import backward_distance
 from .errors import BudgetExceededError, EmptyLanguageError
 from .semiring import INF, ONE, ZERO, format_weight
@@ -151,15 +158,21 @@ def shortest_string_via_full_determinization(
     as :func:`shortest_string`, for at least as much determinization work.
     Raises what :func:`shortest_string` raises, and :class:`ValueError`
     when :func:`.materialize` refuses the determinized machine."""
-    return _astar(a, cache,
-                  lambda cache: _dfa_table(cache, "base").__getitem__, on_pop)
+    return _astar(a, cache, _dfa_heuristic, on_pop)
 
 
-def _string_heuristic(cache: DfaCache) -> Callable[[int], float]:
-    """The lazy search's heuristic, by handle, over ``cache``'s subsets:
-    the one that :func:`heuristic_audit` checks."""
-    bound = backward_distance(cache.automaton, HEURISTIC_VIEW)
-    return lambda handle: cache.heuristic(handle, bound)
+def _string_heuristic(cache: DfaCache) -> Callable[[tuple], float]:
+    """The lazy search's heuristic, by a subset's pairs: the one that
+    :func:`heuristic_audit` checks."""
+    return partial(weigh, backward_distance(cache.automaton, HEURISTIC_VIEW))
+
+
+def _dfa_heuristic(cache: DfaCache) -> Callable[[tuple], float]:
+    """The baseline's heuristic, by a subset's pairs: the whole
+    determinized machine's ``"base"`` backward table."""
+    table = _dfa_table(cache, "base")
+    index = cache.index
+    return lambda pairs: table[index[pairs]]
 
 
 def _dfa_table(cache: DfaCache, view: str) -> tuple:
@@ -240,20 +253,28 @@ _CLOSED = -INF
 
 
 def _astar(a: Automaton, cache: DfaCache | None,
-           heuristic_of: Callable[[DfaCache], Callable[[int], float]],
+           heuristic_of: Callable[[DfaCache], Callable[[tuple], float]],
            on_pop: TraceFn | None) -> SearchResult:
     if cache is None:
         cache = DfaCache(a)
     elif cache.automaton is not a:
         raise ValueError("the cache wraps another automaton")
     subset = cache.subset
-    expand = cache.expand
     final_weight = cache.final_weight
+    final_states = a.finals.keys()
+    arcs_of = a.arcs
+    # the step is looked up here, once per search, so that a replaced
+    # search.step is the one called
+    advance = step
+    lookup = cache.index.get
+    intern = cache.intern
+    expanded = cache.expanded
     margin = rounding(a)
     stats = Stats()
     # the counters stay in locals and reach stats on every exit
     popped = pushed = queue_peak = arcs_relaxed = dominated = 0
     order_violations = 0
+    heap = []
     # heuristic_of runs inside the try: a budget passed while it builds
     # the baseline's table must hand over the stats too
     try:
@@ -263,10 +284,11 @@ def _astar(a: Automaton, cache: DfaCache | None,
         fronts = {}
         root = cache.start()    # handle 0
         # per handle, the heuristic and the best gscore pushed, or
-        # _CLOSED; the root's are set here, and every other handle's
-        # after the expansion that first meets it
-        h = [heuristic(root)]
-        best_g = [ONE]
+        # _CLOSED; a new subset's are set where the search interns it
+        h = [heuristic(subset(handle))
+             for handle in range(cache.num_states)]
+        best_g = [_CLOSED if h_old == ZERO else ZERO for h_old in h]
+        best_g[root] = ONE
         # the heuristic never overestimates, so zero at the root: no string
         if h[root] == ZERO:
             raise EmptyLanguageError("the automaton accepts no string")
@@ -276,7 +298,7 @@ def _astar(a: Automaton, cache: DfaCache | None,
         # makes the empty path. Equal lengths compare as (prefix, label),
         # the order of the whole label sequences; the unique push count
         # stops comparison before the handle and names the entry's path
-        heap = [(ONE + h[root], 0, None, None, 1, root, ONE)]
+        heap.append((ONE + h[root], 0, None, None, 1, root, ONE))
         pushed = queue_peak = 1
         # a pop priority below floor, the rounding() margin under the
         # highest one so far, breaks the order
@@ -307,6 +329,9 @@ def _astar(a: Automaton, cache: DfaCache | None,
                         dominated += 1
                         continue
                     front.append(masses)
+                has_final = not final_states.isdisjoint(states)
+            else:
+                has_final = members[0][0] in final_states
             popped += 1
             # consistent heuristic: pop priorities never decrease
             if fkey < floor:
@@ -317,29 +342,41 @@ def _astar(a: Automaton, cache: DfaCache | None,
             path = _Path(label, prefix, serial)
             if on_pop is not None:
                 on_pop(handle, g, h[handle], g + h[handle], path.labels())
-            final = final_weight(handle)
-            if final != ZERO:
-                g_goal = g + final
+            if has_final:
+                # the final weight is summed only when a member is final
+                g_goal = g + final_weight(handle)
                 pushed += 1
                 heappush(heap, (g_goal, length, prefix, label, pushed, None,
                                 g_goal))
-            arcs = expand(handle)
-            arcs_relaxed += len(arcs)
-            for fresh in range(len(h), cache.num_states):
-                h_new = heuristic(fresh)
-                h.append(h_new)
-                best_g.append(_CLOSED if h_new == ZERO else ZERO)
             length += 1
-            for label, weight, target in arcs:
+            successors = advance(arcs_of, members)
+            for label, weight, pairs in successors:
                 g_next = g + weight
-                if g_next > best_g[target]:
+                target = lookup(pairs)
+                if target is None:
+                    # a new subset, weighed once, here
+                    target = intern(pairs)
+                    h_new = heuristic(pairs)
+                    h.append(h_new)
+                    if h_new == ZERO:
+                        best_g.append(_CLOSED)   # a dead end
+                        continue
+                    best_g.append(g_next)
+                elif g_next > best_g[target]:
                     continue  # strictly worse than the known path, or closed
-                # equal gscores go on: a later path may win the
-                # shorter-then-lexicographic tie break
-                best_g[target] = g_next
+                else:
+                    # equal gscores go on: a later path may win the
+                    # shorter-then-lexicographic tie break
+                    best_g[target] = g_next
                 pushed += 1
                 heappush(heap, (g_next + h[target], length, path, label,
                                 pushed, target, g_next))
+            # once every successor is interned: a budget passed inside
+            # the step leaves its arcs uncounted and the handle not
+            # expanded, while the pushes made before it count in pushed
+            # and, through the finally, in queue_peak
+            arcs_relaxed += len(successors)
+            expanded.add(handle)
             if len(heap) > queue_peak:
                 queue_peak = len(heap)
         raise EmptyLanguageError("no accepting path was found")
@@ -350,7 +387,7 @@ def _astar(a: Automaton, cache: DfaCache | None,
         stats.popped = popped
         stats.pushed = pushed
         stats.subsets_built = cache.num_states
-        stats.queue_peak = queue_peak
+        stats.queue_peak = max(queue_peak, len(heap))
         stats.arcs_relaxed = arcs_relaxed
         stats.order_violations = order_violations
         stats.dominated = dominated
@@ -395,7 +432,7 @@ def heuristic_audit(a: Automaton, *,
     heuristic = _string_heuristic(cache)
     beta_hat = _dfa_table(cache, "companion")
     count = cache.num_states
-    h = [heuristic(handle) for handle in range(count)]
+    h = [heuristic(cache.subset(handle)) for handle in range(count)]
     admissibility = []
     consistency = []
     arcs_checked = 0

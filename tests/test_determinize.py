@@ -4,8 +4,10 @@ import random
 import pytest
 
 from shortstring import (Automaton, BudgetExceededError, DfaCache, LOG, REAL,
-                         approx_eq, backward_distance, enumerate_strings,
-                         log_sum, materialize, read_text, write_text)
+                         LatticeSpec, approx_eq, backward_distance,
+                         enumerate_strings, generate, log_sum, materialize,
+                         read_text, shortest_string,
+                         shortest_string_via_full_determinization, write_text)
 
 from conftest import (D_A, D_B, E1_TOTAL, LN2, arc_columns, random_dag,
                       small_instance, to_real)
@@ -68,7 +70,7 @@ class TestE1Construction:
         # only the final member contributes, residual times final weight
         a = Automaton(LOG, 4, 0, ([0], [1], [1.0], [1]), {3: 0.1})
         cache = DfaCache(a)
-        handle = cache._intern(((1, 0.2), (3, 0.5)))
+        handle = cache.intern(((1, 0.2), (3, 0.5)))
         assert approx_eq(cache.final_weight(handle), 0.6, 1e-12)
 
     def test_heuristic_values(self, e1):
@@ -224,7 +226,7 @@ class TestFinalWeightBits:
             for _ in range(5):
                 states = rng.sample(range(a.num_states),
                                     rng.randint(1, a.num_states))
-                cache._intern(tuple((q, rng.uniform(-2.0, 3.0))
+                cache.intern(tuple((q, rng.uniform(-2.0, 3.0))
                                     for q in sorted(states)))
             expected = {}
             for handle in range(cache.num_states):
@@ -250,6 +252,36 @@ class TestMaterialize:
         assert dfa.initial == 0
         assert dfa.num_arcs() == 3
         assert dfa.finals == {2: 0.0}
+
+    @pytest.mark.parametrize("shape, stepped", [
+        # the deep, ambig and wide benchmark shapes; seed 0's stepped
+        # subset counts, of 1,620, 44 and 23 built
+        (dict(depth=300, width=4, vocab=4, skew=3.0), 1069),
+        (dict(depth=12, width=5, vocab=3, merge_prob=0.2), 18),
+        (dict(depth=6, width=10, vocab=4, merge_prob=0.3), 7)])
+    def test_replays_do_not_drift_from_the_search(self, shape, stepped):
+        # the lazy search steps its subsets and stores no arcs, and
+        # materialize re-derives them through expand: both must build
+        # the same successors, so the replay interns no new subset, and
+        # the exhaustive baseline, which expands every subset, finds the
+        # same string
+        for seed in range(3):
+            a = generate(LatticeSpec(seed=seed, **shape))
+            cache = DfaCache(a)
+            result = shortest_string(a, cache=cache)
+            built = cache.num_states
+            expanded = [handle for handle in range(built)
+                        if cache.is_expanded(handle)]
+            # the goal pop and the dominated pops step nothing
+            assert len(expanded) == result.stats.popped - 1
+            if seed == 0:
+                assert len(expanded) == stepped
+            dfa = materialize(cache)
+            assert cache.num_states == built
+            assert dfa.num_arcs() == result.stats.arcs_relaxed
+            full = shortest_string_via_full_determinization(a)
+            assert full.labels == result.labels
+            assert full.weight == result.weight
 
     def test_dump_text_parses_back(self, e1):
         cache = DfaCache(e1)

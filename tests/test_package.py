@@ -106,29 +106,51 @@ def test_names_the_layer_timers_patch(tmp_path, monkeypatch, capsys):
      (44, 19)),
     (LatticeSpec(depth=6, width=10, vocab=4, merge_prob=0.3, seed=0),
      (23, 8))])
-def test_layer_timers_see_one_call_per_subset(spec, counts):
-    # perfbench/layers.py times the cache's methods by overriding them in
-    # a subclass, so the search must reach every subset's heuristic, and
-    # every expanded subset's arcs and final weight, through one call each
-    calls = dict.fromkeys(("expand", "heuristic", "final_weight"), 0)
+def test_layer_timers_see_one_call_per_subset(spec, counts, monkeypatch):
+    # a layer timer wraps the names the lazy search looks up when it
+    # starts: search.step, called once per expanded subset, the heuristic
+    # that search._string_heuristic builds, called once per built subset
+    # on its pairs, and the cache's final_weight, called once per
+    # expanded subset that has a final member. The search stores no
+    # arcs, so it never calls expand
+    calls = dict.fromkeys(("step", "heuristic", "final_weight", "expand"), 0)
+
+    def counted_step(*args, _real=search.step):
+        calls["step"] += 1
+        return _real(*args)
+
+    def counted_heuristic(cache, _real=search._string_heuristic):
+        heuristic = _real(cache)
+
+        def counted(pairs):
+            calls["heuristic"] += 1
+            return heuristic(pairs)
+        return counted
 
     class CountedCache(DfaCache):
         def expand(self, handle):
             calls["expand"] += 1
             return super().expand(handle)
 
-        def heuristic(self, handle, backward):
-            calls["heuristic"] += 1
-            return super().heuristic(handle, backward)
-
         def final_weight(self, handle):
             calls["final_weight"] += 1
             return super().final_weight(handle)
 
+    monkeypatch.setattr(search, "step", counted_step)
+    monkeypatch.setattr(search, "_string_heuristic", counted_heuristic)
     a = generate(spec)
-    stats = shortest_string(a, cache=CountedCache(a)).stats
+    cache = CountedCache(a)
+    stats = shortest_string(a, cache=cache).stats
     assert (stats.subsets_built, stats.popped) == counts
-    # the super-final pop is counted in popped and expands nothing
-    assert calls == {"expand": stats.popped - 1,
+    expanded = [handle for handle in range(cache.num_states)
+                if cache.is_expanded(handle)]
+    with_final = [handle for handle in expanded
+                  if any(state in a.finals
+                         for state, _ in cache.subset(handle))]
+    # the super-final pop is counted in popped and steps nothing
+    assert len(expanded) == stats.popped - 1
+    assert with_final
+    assert calls == {"step": len(expanded),
                      "heuristic": stats.subsets_built,
-                     "final_weight": stats.popped - 1}
+                     "final_weight": len(with_final),
+                     "expand": 0}
