@@ -22,7 +22,7 @@ every exit, and the two errors carry that as ``stats``.
 
 The search steps each subset it expands once, through
 :func:`.determinize.step`, interns only new successors and weighs a new
-subset's heuristic there, from its pairs. It sums a final weight only
+subset's heuristic there, from its key. It sums a final weight only
 when a member is final and keeps no arcs: :meth:`.DfaCache.expand`,
 built on the same step, memoizes them only for replays.
 
@@ -162,17 +162,17 @@ def shortest_string_via_full_determinization(
 
 
 def _string_heuristic(cache: DfaCache) -> Callable[[tuple], float]:
-    """The lazy search's heuristic, by a subset's pairs: the one that
+    """The lazy search's heuristic, by a subset's key: the one that
     :func:`heuristic_audit` checks."""
     return partial(weigh, backward_distance(cache.automaton, HEURISTIC_VIEW))
 
 
 def _dfa_heuristic(cache: DfaCache) -> Callable[[tuple], float]:
-    """The baseline's heuristic, by a subset's pairs: the whole
+    """The baseline's heuristic, by a subset's key: the whole
     determinized machine's ``"base"`` backward table."""
     table = _dfa_table(cache, "base")
     index = cache.index
-    return lambda pairs: table[index[pairs]]
+    return lambda key: table[index[key]]
 
 
 def _dfa_table(cache: DfaCache, view: str) -> tuple:
@@ -259,7 +259,7 @@ def _astar(a: Automaton, cache: DfaCache | None,
         cache = DfaCache(a)
     elif cache.automaton is not a:
         raise ValueError("the cache wraps another automaton")
-    subset = cache.subset
+    key_of = cache.key
     final_weight = cache.final_weight
     final_states = a.finals.keys()
     arcs_of = a.arcs
@@ -285,7 +285,7 @@ def _astar(a: Automaton, cache: DfaCache | None,
         root = cache.start()    # handle 0
         # per handle, the heuristic and the best gscore pushed, or
         # _CLOSED; a new subset's are set where the search interns it
-        h = [heuristic(subset(handle))
+        h = [heuristic(key_of(handle))
              for handle in range(cache.num_states)]
         best_g = [_CLOSED if h_old == ZERO else ZERO for h_old in h]
         best_g[root] = ONE
@@ -314,12 +314,12 @@ def _astar(a: Automaton, cache: DfaCache | None,
             if best_g[handle] == _CLOSED:
                 continue
             best_g[handle] = _CLOSED
-            members = subset(handle)
-            if len(members) > 1:
+            key = key_of(handle)
+            if len(key) > 2:
                 # a lone member's subset has one handle, so only larger
                 # ones can meet another subset over the same states
-                states, residuals = zip(*members)
-                masses = tuple(map(g.__add__, residuals))
+                states = key[0::2]
+                masses = tuple(map(g.__add__, key[1::2]))
                 front = fronts.get(states)
                 if front is None:
                     fronts[states] = [masses]
@@ -331,7 +331,7 @@ def _astar(a: Automaton, cache: DfaCache | None,
                     front.append(masses)
                 has_final = not final_states.isdisjoint(states)
             else:
-                has_final = members[0][0] in final_states
+                has_final = key[0] in final_states
             popped += 1
             # consistent heuristic: pop priorities never decrease
             if fkey < floor:
@@ -349,14 +349,14 @@ def _astar(a: Automaton, cache: DfaCache | None,
                 heappush(heap, (g_goal, length, prefix, label, pushed, None,
                                 g_goal))
             length += 1
-            successors = advance(arcs_of, members)
-            for label, weight, pairs in successors:
+            successors = advance(arcs_of, key)
+            for label, weight, next_key in successors:
                 g_next = g + weight
-                target = lookup(pairs)
+                target = lookup(next_key)
                 if target is None:
                     # a new subset, weighed once, here
-                    target = intern(pairs)
-                    h_new = heuristic(pairs)
+                    target = intern(next_key)
+                    h_new = heuristic(next_key)
                     h.append(h_new)
                     if h_new == ZERO:
                         best_g.append(_CLOSED)   # a dead end
@@ -376,7 +376,7 @@ def _astar(a: Automaton, cache: DfaCache | None,
             # expanded, while the pushes made before it count in pushed
             # and, through the finally, in queue_peak
             arcs_relaxed += len(successors)
-            expanded.add(handle)
+            expanded[handle] = 1
             if len(heap) > queue_peak:
                 queue_peak = len(heap)
         raise EmptyLanguageError("no accepting path was found")
@@ -432,7 +432,7 @@ def heuristic_audit(a: Automaton, *,
     heuristic = _string_heuristic(cache)
     beta_hat = _dfa_table(cache, "companion")
     count = cache.num_states
-    h = [heuristic(cache.subset(handle)) for handle in range(count)]
+    h = [heuristic(cache.key(handle)) for handle in range(count)]
     admissibility = []
     consistency = []
     arcs_checked = 0

@@ -70,7 +70,7 @@ class TestE1Construction:
         # only the final member contributes, residual times final weight
         a = Automaton(LOG, 4, 0, ([0], [1], [1.0], [1]), {3: 0.1})
         cache = DfaCache(a)
-        handle = cache.intern(((1, 0.2), (3, 0.5)))
+        handle = cache.intern((1, 0.2, 3, 0.5))
         assert approx_eq(cache.final_weight(handle), 0.6, 1e-12)
 
     def test_heuristic_values(self, e1):
@@ -125,6 +125,43 @@ class TestFullExpand:
         (t1, q1), (t2, q2) = cache.subset(near)
         assert (s1, s2) == (t1, t2) == (1, 2)
         assert 0 < abs(q1 - r1) < 1e-6 and 0 < abs(q2 - r2) < 1e-6
+
+    @pytest.mark.parametrize("shape", [
+        dict(depth=300, width=4, vocab=4, skew=3.0),
+        dict(depth=12, width=5, vocab=3, merge_prob=0.2),
+        dict(depth=6, width=10, vocab=4, merge_prob=0.3)])
+    def test_keys_are_flat_and_canonical(self, shape):
+        # a stored key is (s0, r0, s1, r1, ...): int states, strictly
+        # ascending, each followed by its float residual; a lone member's
+        # residual is one. subset() answers the same members as pairs
+        caches = []
+        for seed in range(3):
+            a = generate(LatticeSpec(seed=seed, **shape))
+            caches.append(DfaCache(a))
+            shortest_string(a, cache=caches[-1])
+        for seed in range(20):
+            for encoding in (LOG, REAL):
+                caches.append(DfaCache(random_dag(seed, encoding)))
+                caches[-1].full_expand()
+        sizes = set()
+        for cache in caches:
+            assert type(cache.expanded) is bytearray
+            assert len(cache.expanded) == cache.num_states
+            for handle in range(cache.num_states):
+                key = cache.key(handle)
+                states, residuals = key[0::2], key[1::2]
+                assert type(key) is tuple and len(key) % 2 == 0 and key
+                assert all(type(state) is int for state in states)
+                assert all(map(int.__lt__, states, states[1:]))
+                assert all(type(residual) is float for residual in residuals)
+                if len(states) == 1:
+                    assert residuals == (0.0,)
+                assert cache.subset(handle) == tuple(zip(states, residuals))
+                assert cache.index[key] == handle
+                assert cache.expanded[handle] in (0, 1)
+                assert cache.is_expanded(handle) == cache.expanded[handle]
+                sizes.add(min(len(states), 3))
+        assert sizes == {1, 2, 3}
 
     def test_handle_numbering_deterministic(self):
         a = small_instance(11)
@@ -226,8 +263,8 @@ class TestFinalWeightBits:
             for _ in range(5):
                 states = rng.sample(range(a.num_states),
                                     rng.randint(1, a.num_states))
-                cache.intern(tuple((q, rng.uniform(-2.0, 3.0))
-                                    for q in sorted(states)))
+                cache.intern(tuple(slot for q in sorted(states)
+                                   for slot in (q, rng.uniform(-2.0, 3.0))))
             expected = {}
             for handle in range(cache.num_states):
                 terms = [residual + a.finals[state]
