@@ -22,18 +22,18 @@ weight is a member of the encoding (it converts to a ``-ln`` weight, see
 probability below the float range) and no state has two final weights;
 the states are 0 up to the largest id. Otherwise it raises
 :class:`ParseError` for the first bad record in file order, with its line
-number. A block of lines at a time, the records are transposed once into
-columns, which are converted and checked whole. Sources, targets and
-final states share one id space: each distinct id text of a block is
-converted once, and the three columns are looked up from those values.
-Each check is stated once, in the column readers: when a block fails,
-its lines are read again one at a time through the same readers, and
-the first that fails on its own is the bad record. The id rule is
-stated once, in ``_int_values``; a failing id is worded by reading its
-columns one at a time, sources first, then targets, then final states.
-The blocks' arc columns, ``(sources, labels, weights, targets)``, are
-joined and passed to :class:`.automaton.Automaton` as they are, once the
-split lines are dropped, so no copy of the text's data outlives its use.
+number. A block of lines at a time, the records are sorted stably by
+field count; two bisections split off the final entries (1-2 fields) and
+the arcs (3-4), each in file order, and each kind is transposed once
+into columns, converted and checked whole. Sources, targets and final
+states share one id space: each distinct id text of a block is converted
+once. Each check is stated once, in the column readers: a failing
+block's lines are read again one at a time through them, and the first
+that fails on its own is the bad record. A failing id, judged by the one
+id rule in ``_int_values``, is worded by reading its columns alone:
+sources, targets, then final states. The first block's arc columns,
+extended by the rest, go as they are to :class:`.automaton.Automaton`
+once the split lines are dropped: no copy of the data outlives its use.
 :func:`write_text` writes an :class:`.automaton.Automaton` back in the
 format, and refuses a weight whose written value :func:`read_text` would
 refuse or read as no arc.
@@ -41,6 +41,7 @@ refuse or read as no arc.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import compress
 from operator import itemgetter
 from typing import Optional
@@ -106,8 +107,6 @@ class SymbolTable:
 # lines split at a time: bounds the memory the split fields of a long
 # text take, while a typical lattice file is one block
 _BLOCK = 4096
-_ARC_SIZES = frozenset((3, 4))
-_FINAL_SIZES = frozenset((1, 2))
 
 
 def read_text(text: str, encoding: Encoding,
@@ -119,7 +118,7 @@ def read_text(text: str, encoding: Encoding,
     record."""
     lines = text.split("\n")
     has_comments = "#" in text
-    columns = ([], [], [], [])     # sources, labels, weights, targets
+    columns = ()    # sources, labels, weights, targets, once a block is read
     finals = {}
     initial = None
     max_state = 0
@@ -140,6 +139,7 @@ def read_text(text: str, encoding: Encoding,
             raise   # each check is per record, so a line has failed above
         for column, part in zip(columns, block_columns):
             column += part
+        columns = columns or block_columns  # the first block's, as they are
         finals.update(block_finals)
         max_state = max(max_state, block_max)
         if initial is None:
@@ -200,19 +200,19 @@ def _read_block(lines, has_comments, encoding, symbols, finals) -> tuple:
     weights, the largest state id and the first record's state id
     (``None`` when the block holds no record) of the records in
     ``lines``; a state that is final in ``finals`` may not be final
-    again. A :class:`ParseError` is worded from the block's first record
-    that the failing check reads, which is the bad record when the block
-    holds one."""
+    again. A :class:`ParseError` is worded from the first record, by field
+    count, that the failing check reads: the bad one in a block of one."""
     records = list(map(str.split, lines))
     if has_comments:
         records = [fields for fields in records
                    if fields and fields[0][0] != "#"]
-    sizes = list(map(len, records))     # blank lines have no fields
-    if max(sizes, default=0) > 4:
-        raise ParseError(f"expected 1-4 fields, got {max(sizes)}")
-    arc_records = list(compress(records, map(_ARC_SIZES.__contains__, sizes)))
-    final_records = list(compress(records,
-                                  map(_FINAL_SIZES.__contains__, sizes)))
+    first = next(filter(None, records), None)
+    records.sort(key=len)   # stable: each field count keeps file order
+    if records and len(records[-1]) > 4:
+        raise ParseError(f"expected 1-4 fields, got {len(records[-1])}")
+    arcs_at = bisect_left(records, 3, key=len)
+    final_records = records[bisect_left(records, 1, key=len):arcs_at]
+    arc_records = records[arcs_at:]
     # the records' fields a column each; zip stops at the shortest
     # record, so the last column is the weights only when every record
     # carries one
@@ -232,7 +232,6 @@ def _read_block(lines, has_comments, encoding, symbols, finals) -> tuple:
     if len(fresh) < len(states) or not finals.keys().isdisjoint(fresh):
         raise ParseError(f"duplicate final weight for state "
                          f"{id_of(states[0])}")
-    first = next(filter(None, records), None)
     initial = None if first is None else id_of(first[0])
     return arcs, fresh, max(ids.values(), default=0), initial
 

@@ -600,9 +600,13 @@ class TestReadText:
         assert dict(a.finals) == {1: 0.0}
 
     def test_initial_is_first_record_source(self):
-        a = read_text("3 1 5 0.5\n1 0.0\n", LOG)
-        assert a.initial == 3
-        assert a.num_states == 4
+        # the first record's state in the file, whatever order a block's
+        # records are read in: an arc before a final entry, and a final
+        # entry before an arc that leaves another state
+        for text, initial, num_states in (("3 1 5 0.5\n1 0.0\n", 3, 4),
+                                          ("2 0.5\n0 2 1 0.5\n", 2, 3)):
+            a = read_text(text, LOG)
+            assert (a.initial, a.num_states) == (initial, num_states)
 
     def test_symbols(self):
         symbols = SymbolTable.from_text(E1_SYMBOLS_TEXT)

@@ -603,6 +603,22 @@ class TestDecode:
         assert code == 0, err
         assert out == "1 2\t0.601861\n"
 
+    def test_line_breaks_read_as_newlines(self, capsys, tmp_path):
+        # decode reads in text mode, so "\r\n" and a bare "\r" arrive as
+        # "\n": each file prints what its "\n" twin prints, an error's
+        # line number included, and exits with the same code
+        good = E1_TEXT.replace("a", "1").replace("b", "2").replace("c", "3")
+        bad = good.replace("1 3 2 0.7", "1 3 2 x")
+        twins = {good: (0, "1 2\t0.601861\n", ""),
+                 bad: (3, "", "error: FILE: line 4: bad weight 'x'\n")}
+        path = tmp_path / "twin.lat"
+        for text, outcome in twins.items():
+            for newline in ("\n", "\r\n", "\r"):
+                path.write_bytes(text.replace("\n", newline).encode())
+                code, out, err = run(capsys, "decode", str(path))
+                assert (code, out, err.replace(str(path), "FILE")) == \
+                    outcome, repr(newline)
+
     def test_symbols_with_byte_order_mark(self, capsys, tmp_path, e1_file):
         # the mark would make the first token '\ufeffa', and 'a' unknown
         path = tmp_path / "bom.syms"

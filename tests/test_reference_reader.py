@@ -195,13 +195,22 @@ def _long_texts(rng):
             yield "\n".join(lines) + "\n", encoding, None
 
 
+# one block whose records are out of field-count order: arcs of 4 and 3
+# fields, finals of 2 and 1, a blank line, a comment, then a 4-field arc
+# whose weight is one in log and no arc in real
+MIXED_ORDER = ("0 1 2 0.5\n0 2 1\n2 0.25\n1\n\n# note\n1 2 3 0\n")
+
+
 class TestReferenceReader:
     def test_lenient_forms_read_alike(self):
         text = ("+0 0003 1 1_0.5\n0_0 ٢ 2 +0.25\n"
                 "2 3 1_0\n0003 Infinity\n٢\n")
         for encoding in (LOG, REAL):
-            ours = _outcome(read_text, text, encoding)
-            assert ours == _outcome(reference_read, text, encoding)
+            for given in (text, MIXED_ORDER):
+                ours = _outcome(read_text, given, encoding)
+                assert ours == _outcome(reference_read, given, encoding)
+        assert _outcome(read_text, MIXED_ORDER, LOG)[:4] == ("ok", 3, 0, 0)
+        assert _outcome(read_text, MIXED_ORDER, REAL)[:4] == ("ok", 3, 0, 1)
         assert _outcome(read_text, text, LOG)[:3] == ("ok", 4, 0)
         assert _outcome(read_text, text, REAL)[1:] == (
             "line 4: weight 'Infinity' is not a member of the real semiring", 4)
