@@ -111,13 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _render(labels, symbols) -> str:
-    tokens = []
-    for label in labels:
-        if symbols is not None and symbols.has_label(label):
-            tokens.append(symbols.token(label))
-        else:
-            tokens.append(str(label))
-    return " ".join(tokens)
+    # read_text took every label of a --symbols decode from this table
+    if symbols is None:
+        return " ".join(map(str, labels))
+    return " ".join(map(symbols.token, labels))
 
 
 def _trace_writer(symbols, from_log):

@@ -18,8 +18,9 @@ residual is the log ratio of its target's mass to the label's total.
 
 One step, :func:`step`, serves both the lazy search, which calls it once
 per subset it expands and keeps no arcs, and :meth:`DfaCache.expand`,
-which memoizes arcs per handle only for replays of the explored machine
-(:func:`materialize`, the exhaustive baseline, the heuristic audit).
+which memoizes arcs per handle only for replays of the explored machine:
+:func:`materialize` reads them, after :meth:`DfaCache.full_expand` for
+the exhaustive baseline and the heuristic audit, and so do the tests.
 
 Subsets are interned by their keys: equal keys share one handle, and
 any other keys, however close their residuals, get their own, so a
@@ -42,7 +43,9 @@ class DfaCache:
 
     The lazy search steps subsets itself: it looks successors' keys up
     in ``index`` (key to handle), adds new ones with :meth:`intern` and
-    marks each handle it steps in ``expanded``, a byte per handle.
+    marks each handle it steps in ``expanded``, a byte per handle. The
+    arcs that :meth:`expand` memoizes are read by :func:`materialize` and
+    the tests.
 
     A cache is owned by a single search: expansion mutates it, so
     concurrent expansion of one cache is not supported. Distinct caches
@@ -90,9 +93,9 @@ class DfaCache:
     def expand(self, handle: int) -> tuple:
         """Outgoing determinized arcs of a subset, one per label, sorted by
         label: ``(label, weight, target handle)`` tuples, from :func:`step`.
-        Memoized for replays (:func:`materialize`, :meth:`full_expand`,
-        the audit); the lazy search steps each subset itself and stores no
-        arcs."""
+        Memoized for replays (:meth:`full_expand`, then
+        :func:`materialize`); the lazy search steps each subset itself and
+        stores no arcs."""
         memo = self._arcs.get(handle)
         if memo is not None:
             return memo
@@ -110,24 +113,11 @@ class DfaCache:
         return result
 
     def final_weight(self, handle: int) -> float:
-        """Final weight of a subset: the sum :meth:`heuristic` forms, taken
-        against the members' final weights (zero for a state that is not
-        final). Not memoized: the search asks once per expanded subset
-        that has a final member."""
+        """Final weight of a subset: :func:`weigh` against the members'
+        final weights (zero for a state that is not final). Not memoized:
+        the search asks once per expanded subset that has a final
+        member."""
         return weigh(self._rho, self.key(handle))
-
-    def heuristic(self, handle: int, backward: tuple) -> float:
-        """Remaining-mass estimate of a subset: the semiring sum of residual
-        times the member's value in a backward table (a tuple indexed by
-        state) of the source automaton: :func:`weigh`, which the lazy
-        search calls itself on each new subset's key.
-
-        The estimate is admissible and consistent when each member's value
-        is at most its final weight and, for each label, at most the
-        log-sum of its arcs with that label into their targets' values:
-        the ``"string"`` view the search uses, or the looser ``"base"``
-        view (see :mod:`.distance`)."""
-        return weigh(backward, self.key(handle))
 
     def full_expand(self) -> int:
         """Expand every reachable subset; returns the determinized state
@@ -204,7 +194,16 @@ def step(arcs_of, key: tuple) -> list:
 def weigh(table, key: tuple) -> float:
     """The semiring sum of residual times the member's value in a table
     indexed by state, over a subset's key; a lone member's needs no
-    ``log_sum``, and two members' take its two-term path."""
+    ``log_sum``, and two members' take its two-term path.
+
+    Against the final weights it is the subset's final weight. Against a
+    backward table of the source automaton it is the subset's
+    remaining-mass estimate, which the lazy search forms on each new
+    subset's key. That estimate is admissible and consistent when each
+    member's value is at most its final weight and, for each label, at
+    most the log-sum of its arcs with that label into their targets'
+    values: the ``"string"`` view the search uses, or the looser
+    ``"base"`` view (see :mod:`.distance`)."""
     if len(key) == 2:
         state, residual = key
         return residual + table[state]

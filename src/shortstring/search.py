@@ -68,7 +68,10 @@ still have outgoing arcs whose continuations beat stopping there, so
 popping the subset itself proves nothing; popping its super-final entry
 does. Priority ties break by shorter string, then lexicographically
 smaller label sequence, then insertion order, making results
-reproducible and giving the brute-force oracle an exact contract.
+reproducible. The brute-force oracle breaks ties by the same rule, so
+the two agree on every string whose weight the search tells apart from
+the best; strings whose computed weights lie within :func:`rounding` of
+each other may tie-break either way.
 
 The search works in ``-ln`` weights whatever the automaton's encoding;
 only :attr:`SearchResult.weight` is converted back to it.
@@ -170,16 +173,10 @@ def _string_heuristic(cache: DfaCache) -> Callable[[tuple], float]:
 def _dfa_heuristic(cache: DfaCache) -> Callable[[tuple], float]:
     """The baseline's heuristic, by a subset's key: the whole
     determinized machine's ``"base"`` backward table."""
-    table = _dfa_table(cache, "base")
+    cache.full_expand()
+    table = backward_distance(materialize(cache), "base")
     index = cache.index
     return lambda key: table[index[key]]
-
-
-def _dfa_table(cache: DfaCache, view: str) -> tuple:
-    """Backward table, in ``view``, of the whole determinized machine,
-    indexed by handle; expands every subset of ``cache`` first."""
-    cache.full_expand()
-    return backward_distance(materialize(cache), view)
 
 
 class _Path:
@@ -416,12 +413,12 @@ def heuristic_audit(a: Automaton, *,
                     state_budget: int | None = None) -> AuditReport:
     """Exhaustively verify the search heuristic on one automaton.
 
-    Fully determinizes ``a``, then checks per subset that the heuristic
-    :func:`shortest_string` uses (the same builder, over the
-    ``HEURISTIC_VIEW`` table) never overestimates the best single
-    completion (admissibility, against the companion backward table of
-    the determinized machine) and never overestimates across any single
-    arc or the final hop (consistency).
+    Fully determinizes ``a`` and materializes the machine, then checks per
+    subset that the heuristic :func:`shortest_string` uses (the same
+    builder, over the ``HEURISTIC_VIEW`` table) never overestimates the
+    best single completion (admissibility, against the machine's companion
+    backward table) and never overestimates across any single arc or the
+    final hop of that machine (consistency).
     A heuristic over a bound x by more than the :func:`rounding` margin
     that the search's dominance and pop-order checks use is reported;
     small instances only. Raises :class:`ValueError` when
@@ -430,8 +427,12 @@ def heuristic_audit(a: Automaton, *,
     cache = DfaCache(a, state_budget)
     margin = rounding(a)
     heuristic = _string_heuristic(cache)
-    beta_hat = _dfa_table(cache, "companion")
-    count = cache.num_states
+    cache.full_expand()
+    # the arcs, finals and companion table of one materialized machine
+    dfa = materialize(cache)
+    beta_hat = backward_distance(dfa, "companion")
+    finals = dfa.finals
+    count = dfa.num_states
     h = [heuristic(cache.key(handle)) for handle in range(count)]
     admissibility = []
     consistency = []
@@ -441,7 +442,7 @@ def heuristic_audit(a: Automaton, *,
             admissibility.append(
                 f"state {handle}: heuristic {format_weight(h_here)} exceeds "
                 f"best completion {format_weight(best)}")
-        for label, weight, target in cache.expand(handle):
+        for label, weight, target in dfa.arcs(handle):
             arcs_checked += 1
             bound = weight + h[target]
             if h_here - bound > margin(bound):
@@ -449,9 +450,9 @@ def heuristic_audit(a: Automaton, *,
                     f"arc {handle}-{label}->{target}: heuristic "
                     f"{format_weight(h_here)} exceeds step bound "
                     f"{format_weight(bound)}")
-        final = cache.final_weight(handle)
-        if final != ZERO:
+        if handle in finals:
             arcs_checked += 1
+            final = finals[handle]
             if h_here - final > margin(final):
                 consistency.append(
                     f"state {handle}: heuristic {format_weight(h_here)} "

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from shortstring import (LOG, REAL, Automaton, LatticeSpec, cli, generate,
-                         oracle_shortest_string, read_text, shortest_string,
-                         write_text)
+from shortstring import (LOG, REAL, Automaton, LatticeSpec, cli,
+                         enumerate_strings, generate, oracle_shortest_string,
+                         read_text, shortest_string, write_text)
 from shortstring.search import rounding
 
 from conftest import (E1_SYMBOLS_TEXT, E1_TEXT, arc_columns, small_instance,
@@ -541,7 +541,9 @@ class TestDecode:
     def test_oracle_margin_headroom(self):
         # seeded lattices as generated, shifted, negated, with cancelling
         # ±2^40 offsets and in real: where the labels agree, the search and
-        # the oracle weights stay far inside the margin --oracle allows
+        # the oracle weights stay far inside the margin --oracle allows;
+        # where they differ (a near-tie), the oracle weighs the decoded
+        # string within that margin of its own best
         def variants(a):
             arcs, finals = list(a.all_arcs()), dict(a.finals)
 
@@ -574,6 +576,11 @@ class TestDecode:
                 result = shortest_string(a)
                 labels, weight = oracle_shortest_string(a)
                 if labels != result.labels:     # a near-tie
+                    best = a.encoding.to_log(weight)
+                    decoded = a.encoding.to_log(
+                        enumerate_strings(a)[result.labels])
+                    assert decoded - best <= rounding(a)(best), (
+                        spec, a.encoding)
                     continue
                 agreeing += 1
                 searched = a.encoding.to_log(result.weight)

@@ -8,6 +8,7 @@ from shortstring import (Automaton, BudgetExceededError, DfaCache, LOG, REAL,
                          enumerate_strings, generate, log_sum, materialize,
                          read_text, shortest_string,
                          shortest_string_via_full_determinization, write_text)
+from shortstring.determinize import weigh
 
 from conftest import (D_A, D_B, E1_TOTAL, LN2, arc_columns, random_dag,
                       small_instance, to_real)
@@ -77,11 +78,11 @@ class TestE1Construction:
         cache = DfaCache(e1)
         beta = backward_distance(e1, "base")
         cache.full_expand()
-        assert approx_eq(cache.heuristic(0, beta), E1_TOTAL)
+        assert approx_eq(weigh(beta, cache.key(0)), E1_TOTAL)
         _, _, s1 = cache.expand(0)[0]
         _, _, s2 = cache.expand(0)[1]
-        assert approx_eq(cache.heuristic(s1, beta), D_B)
-        assert cache.heuristic(s2, beta) == 0.0
+        assert approx_eq(weigh(beta, cache.key(s1)), D_B)
+        assert weigh(beta, cache.key(s2)) == 0.0
 
     def test_full_expand_e1(self, e1):
         assert DfaCache(e1).full_expand() == 3
@@ -239,7 +240,7 @@ class TestHeuristicAgainstMaterializedDfa:
             count = cache.full_expand()
             direct = backward_distance(materialize(cache), "base")
             for handle in range(count):
-                assert approx_eq(cache.heuristic(handle, beta_n),
+                assert approx_eq(weigh(beta_n, cache.key(handle)),
                                  direct[handle], 1e-9)
 
 

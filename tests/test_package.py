@@ -75,9 +75,11 @@ def test_readme_stats_list_names_every_field():
 
 
 def test_names_the_layer_timers_patch(tmp_path, monkeypatch, capsys):
-    # perfbench/layers.py times each layer by replacing these names, and
-    # a decode must look each of them up at call time
-    for name in ("start", "expand", "heuristic", "final_weight",
+    # perfbench/layers.py times each layer by replacing the names patched
+    # below, which a decode must look up at call time, and overriding
+    # cache methods; perfbench/run.py calls full_expand, is_expanded,
+    # subset and num_states itself
+    for name in ("start", "expand", "final_weight", "full_expand",
                  "is_expanded", "subset", "num_states"):
         assert hasattr(cli.DfaCache, name), name
     calls = {}

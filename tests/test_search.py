@@ -9,8 +9,9 @@ import pytest
 from shortstring import (Automaton, BudgetExceededError, CycleError,
                          DfaCache, EmptyLanguageError, LOG, LatticeSpec, REAL,
                          approx_eq, backward_distance, enumerate_strings,
-                         generate, heuristic_audit, oracle_shortest_path,
-                         oracle_shortest_string, shortest_string,
+                         generate, heuristic_audit, materialize,
+                         oracle_shortest_path, oracle_shortest_string,
+                         shortest_string,
                          shortest_string_via_full_determinization)
 from shortstring import search as search_module
 from shortstring.automaton import SUM_LIMIT
@@ -689,6 +690,23 @@ class TestHeuristicAudit:
     def test_budget_propagates(self, e1):
         with pytest.raises(BudgetExceededError):
             heuristic_audit(e1, state_budget=1)
+
+    @pytest.mark.parametrize("shape", [
+        dict(width=5, vocab=3, merge_prob=0.2, depth=5),           # ambig
+        dict(width=10, vocab=4, merge_prob=0.3, depth=3),          # wide
+        dict(width=4, vocab=4, skew=3.0, merge_prob=0.0, depth=12)])  # deep
+    def test_counts_cover_the_materialized_machine(self, e1, shape):
+        # every subset, every arc and every final hop of the fully
+        # expanded machine as materialize builds it is audited once
+        lattices = [e1] + [generate(LatticeSpec(seed=seed, **shape))
+                           for seed in range(3)]
+        for a in lattices:
+            cache = DfaCache(a)
+            cache.full_expand()
+            dfa = materialize(cache)
+            report = heuristic_audit(a)
+            assert report.states_checked == dfa.num_states
+            assert report.arcs_checked == dfa.num_arcs() + len(dfa.finals)
 
     def test_audit_checks_the_search_heuristic(self, e1, monkeypatch):
         # the search and the audit take every h from one builder, called
